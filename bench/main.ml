@@ -414,17 +414,21 @@ let localize_bench () =
 (* Per-instance wall times for the automaton construction over many
    distinct instances of each catalogue template, on both routes: the
    template compiler (one tableau per shape, atom substitution after)
-   and the raw GPVW tableau (forced by a governed call, which bypasses
-   every cache).  Distributions are skewed — the template route pays
-   one expensive compile then streams cheap instantiations — so the
-   table reports p50/p95 per group rather than a mean. *)
+   and the raw GPVW tableau (forced by an armed, empty fault plan,
+   which bypasses every cache).  Distributions are skewed — the
+   template route pays one expensive compile then streams cheap
+   instantiations — so the table reports p50/p95 per group rather than
+   a mean. *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else
-    let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
+(* Nearest-rank percentile, [p] in percent; 0 over no values. *)
+let percentile p values =
+  match List.sort compare values with
+  | [] -> 0.
+  | sorted ->
+    let arr = Array.of_list sorted in
+    let n = Array.length arr in
+    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+    arr.(max 0 (min (n - 1) (rank - 1)))
 
 let template_families =
   let atom family i slot = Ltl.prop (Printf.sprintf "%s_%s%d" family slot i) in
@@ -462,19 +466,17 @@ let template_bench () =
                 Unix.gettimeofday () -. t0)
              formulas
          in
-         let sorted = Array.of_list walls in
-         Array.sort compare sorted;
          Format.printf "%-14s %-10s %12.4f %12.1f %12.1f@." family route
            (List.fold_left ( +. ) 0. walls)
-           (percentile sorted 0.50 *. 1e6)
-           (percentile sorted 0.95 *. 1e6)
+           (percentile 50. walls *. 1e6)
+           (percentile 95. walls *. 1e6)
        in
        run "template" (fun f -> Speccc_automata.Nbw.of_ltl f);
        run "tableau"
          (fun f ->
-            Speccc_automata.Nbw.of_ltl
-              ~budget:(Speccc_runtime.Budget.create ~fuel:10_000_000 ())
-              f))
+            Speccc_runtime.Fault.install [];
+            Fun.protect ~finally:Speccc_runtime.Fault.clear (fun () ->
+                Speccc_automata.Nbw.of_ltl f)))
     template_families
 
 (* ---------- edit latency (watch sessions) ---------- *)
@@ -519,16 +521,6 @@ let live_edit_script =
     ("R6", "If the occlusion is present, the alarm is triggered.");
     ("R1", "If the button is pressed, the monitor is enabled.");
   ]
-
-(* Nearest-rank percentile over seconds. *)
-let percentile p values =
-  match List.sort compare values with
-  | [] -> 0.
-  | sorted ->
-    let arr = Array.of_list sorted in
-    let n = Array.length arr in
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-    arr.(max 0 (min (n - 1) (rank - 1)))
 
 let edit_latency_rows ~smoke =
   let options =

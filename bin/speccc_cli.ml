@@ -933,7 +933,12 @@ let synth_cmd =
   in
   let run source engine lookahead time_budget dot st verilog =
     let texts = load_spec source in
-    let options = options_of ~engine ~lookahead ~time_budget () in
+    (* the verb prints the witness, so the ladder must produce one
+       (and certification validates it before it is shown) *)
+    let options =
+      { (options_of ~engine ~lookahead ~time_budget ()) with
+        Pipeline.certify = true }
+    in
     let outcome = Pipeline.run ~options texts in
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Consistent ->

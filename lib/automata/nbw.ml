@@ -179,7 +179,7 @@ let build_tableau ?budget formula =
   }
   in
   expand root;
-  !completed
+  (!completed, !counter)
 
 let literals_of_old old =
   Ltl.Set.fold
@@ -199,12 +199,13 @@ let until_subformulas formula =
     (Ltl.subformulas formula)
 
 (* Build the generalized Büchi automaton, then degeneralize with the
-   usual acceptance counter. *)
+   usual acceptance counter.  Returns the automaton with its fuel cost:
+   the number of tableau nodes, one fuel unit each. *)
 let build ?budget formula =
   (* Interning the core makes the tableau's many [Ltl.Set] operations
      short-circuit on physical equality of shared subterms. *)
   let core = Ltl.intern (to_core formula) in
-  let nodes = build_tableau ?budget core in
+  let nodes, cost = build_tableau ?budget core in
   let untils = until_subformulas core in
   (* Map tableau ids to dense indices; index 0 is the dedicated initial
      state (GPVW's "init" pseudo-node). *)
@@ -279,20 +280,22 @@ let build ?budget formula =
       String_set.empty transitions
     |> String_set.elements
   in
-  {
-    num_states;
-    initial = [ state_index 0 0 ];
-    accepting;
-    transitions;
-    atoms;
-  }
+  ( {
+      num_states;
+      initial = [ state_index 0 0 ];
+      accepting;
+      transitions;
+      atoms;
+    },
+    cost )
 
 (* The automaton for a formula is deterministic in the formula alone,
-   so ungoverned construction is memoized by formula id.  Two callers
-   must bypass the cache: a [Some] budget (fuel is charged per tableau
-   node, and a cached automaton would skip those checkpoints — the
-   deterministic-exhaustion tests rely on them), and an armed fault
-   plan (checkpoint hit counts must see every expansion). *)
+   so construction is memoized by formula id, together with its fuel
+   cost (the tableau nodes the cold build charged).  Under a budget a
+   hit charges that cost again, one unit per node, so fuel accounting
+   — and the point where an exhausted run fails — is the same with a
+   warm or a cold cache.  An armed fault plan bypasses the cache:
+   checkpoint hit counts must see every expansion. *)
 
 module C = Speccc_cache.Cache.Make (Speccc_cache.Cache.Int_key)
 
@@ -314,6 +317,21 @@ let template_table =
     ~capacity:(Speccc_cache.Cache.capacity ~name:"nbw.template" ~default:1024)
     ()
 
+let memo ?budget table key compute =
+  match C.find_opt (Domain.DLS.get table) key with
+  | Some ((_, cost) as entry) ->
+    Option.iter
+      (fun budget ->
+         for _ = 1 to cost do
+           Speccc_runtime.Budget.checkpoint budget ~stage:"tableau"
+         done)
+      budget;
+    entry
+  | None ->
+    let entry = compute () in
+    C.add (Domain.DLS.get table) key entry;
+    entry
+
 let rename_atoms mapping auto =
   let rename a =
     match List.assoc_opt a mapping with Some b -> b | None -> a
@@ -328,29 +346,24 @@ let rename_atoms mapping auto =
     atoms = List.sort_uniq compare (List.map rename auto.atoms);
   }
 
-let of_template formula =
+let of_template ?budget formula =
   match Template.abstract formula with
   | None -> None
   | Some { Template.canonical; mapping; _ } ->
-    let compiled =
-      C.memo
-        (Domain.DLS.get template_table)
-        (Ltl.id canonical)
-        (fun () -> build canonical)
+    let compiled, cost =
+      memo ?budget template_table (Ltl.id canonical) (fun () ->
+          build ?budget canonical)
     in
-    Some (rename_atoms mapping compiled)
+    Some (rename_atoms mapping compiled, cost)
 
 let of_ltl ?budget formula =
-  match budget with
-  | Some _ -> build ?budget formula
-  | None ->
-    if Speccc_runtime.Fault.active () then build formula
-    else
-      C.memo (Domain.DLS.get table) (Ltl.id formula)
-        (fun () ->
-           match of_template formula with
-           | Some auto -> auto
-           | None -> build formula)
+  if Speccc_runtime.Fault.active () then fst (build ?budget formula)
+  else
+    fst
+      (memo ?budget table (Ltl.id formula) (fun () ->
+           match of_template ?budget formula with
+           | Some entry -> entry
+           | None -> build ?budget formula))
 
 let guard_holds guard assignment =
   List.for_all

@@ -27,16 +27,17 @@ val of_ltl : ?budget:Speccc_runtime.Budget.t -> Speccc_logic.Ltl.t -> t
     [Speccc_runtime.Runtime.Interrupt]; the fault checkpoint
     ["tableau.expand"] is announced per node.
 
-    Ungoverned construction (no [budget], no armed fault plan) is
-    memoized per domain by formula id (cache ["nbw.of_ltl"]), so
-    repeated translations of the same formula — e.g. across the
-    bound-escalation loops of the explicit and SAT engines — are
-    free.  On a formula-cache miss, formulas that instantiate a
-    catalogue template shape ({!Template.abstract}) are served by atom
-    substitution into one compiled automaton per shape (cache
-    ["nbw.template"]) instead of running the tableau.  Governed calls
-    always rebuild, preserving per-node fuel accounting and
-    fault-checkpoint hit counts. *)
+    Construction is memoized per domain by formula id (cache
+    ["nbw.of_ltl"]), so repeated translations of the same formula —
+    e.g. across the bound-escalation loops of the explicit and SAT
+    engines — are free.  On a formula-cache miss, formulas that
+    instantiate a catalogue template shape ({!Template.abstract}) are
+    served by atom substitution into one compiled automaton per shape
+    (cache ["nbw.template"]) instead of running the tableau.  Under a
+    budget a cache hit charges the tableau nodes its cold build cost,
+    one unit at a time, so fuel accounting and exhaustion are the same
+    with a warm or a cold cache.  An armed fault plan bypasses both
+    caches, preserving fault-checkpoint hit counts. *)
 
 val guard_holds : guard -> (string * bool) list -> bool
 (** Is the guard enabled by the (total or partial, missing = false)

@@ -54,11 +54,6 @@ type outcome = {
   certificate : Speccc_certify.Certify.outcome option;
 }
 
-let timed f =
-  let start = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. start)
-
 let abstract_times options formulas =
   match Timeabs.thetas_of_formulas formulas with
   | [] -> (formulas, None)
@@ -72,14 +67,6 @@ let abstract_times options formulas =
         else Timeabs.solve_analytic problem
     in
     (List.map (Timeabs.apply solution) formulas, Some solution)
-
-(* The governed ladder also owns the anytime and memory-pressure
-   machinery: a snapshot slot is only fed by it, and the hard-watermark
-   collapse is a ladder decision, so both route the run through it. *)
-let governed options =
-  options.fuel <> None || options.deadline <> None || options.cancel <> None
-  || options.skip_engines <> [] || options.snapshot <> None
-  || Speccc_runtime.Memwatch.level () <> Speccc_runtime.Memwatch.Normal
 
 let make_budget options =
   Speccc_runtime.Budget.create ?fuel:options.fuel
@@ -100,12 +87,11 @@ let certify_reserve_fuel = 50_000
 
 let lint_floor formulas (report : Realizability.report) =
   let reserve = Speccc_runtime.Budget.create ~fuel:lint_reserve_fuel () in
-  let started = Unix.gettimeofday () in
-  let result =
-    Speccc_runtime.Runtime.guard ~stage:"lint" (fun () ->
-        Speccc_lint.Lint.check ~budget:reserve formulas)
+  let result, wall =
+    Speccc_runtime.Runtime.timed (fun () ->
+        Speccc_runtime.Runtime.guard ~stage:"lint" (fun () ->
+            Speccc_lint.Lint.check ~budget:reserve formulas))
   in
-  let wall = Unix.gettimeofday () -. started in
   let rung outcome error =
     {
       Realizability.rung_engine = "lint";
@@ -167,45 +153,25 @@ let lint_floor formulas (report : Realizability.report) =
         @ [ rung (Speccc_runtime.Runtime.to_string error) (Some error) ];
     }
 
+(* A wall-clock deadline or cancellation aborts the ladder with a
+   single "ladder" rung: too late even for the lint floor. *)
+let aborted (report : Realizability.report) =
+  List.exists
+    (fun rung -> rung.Realizability.rung_engine = "ladder")
+    report.Realizability.degradation
+
 let synthesize options ?(assumptions = []) ~inputs ~outputs formulas =
-  if not (governed options) then
-    Realizability.check ~engine:options.engine ~lookahead:options.lookahead
-      ~bound:options.bound ~assumptions ~inputs ~outputs formulas
-  else
-    let budget = make_budget options in
-    match
-      Realizability.check_governed ~budget ~engine:options.engine
-        ~lookahead:options.lookahead ~bound:options.bound
-        ~skip:options.skip_engines ~assumptions ~inputs ~outputs formulas
-    with
-    | Ok
-        ({ Realizability.verdict = Realizability.Inconclusive _; _ } as
-         report)
-      when report.Realizability.degradation <> [] ->
-      lint_floor formulas report
-    | Ok report -> report
-    | Error error ->
-      (* the wall-clock deadline passed or the run was cancelled: too
-         late even for the lint floor *)
-      let why = Speccc_runtime.Runtime.to_string error in
-      {
-        Realizability.verdict = Realizability.Inconclusive why;
-        engine_used = "none";
-        controller = None;
-        counterstrategy = None;
-        unsat_core = None;
-        wall_time = 0.;
-        detail = why;
-        degradation =
-          [
-            {
-              Realizability.rung_engine = "ladder";
-              rung_outcome = why;
-              rung_error = Some error;
-              rung_wall = 0.;
-            };
-          ];
-      }
+  let report =
+    Realizability.check ~budget:(make_budget options) ~engine:options.engine
+      ~lookahead:options.lookahead ~bound:options.bound
+      ~skip:options.skip_engines ~assumptions ~witness:options.certify
+      ~inputs ~outputs formulas
+  in
+  match report.Realizability.verdict with
+  | Realizability.Inconclusive _
+    when report.Realizability.degradation <> [] && not (aborted report) ->
+    lint_floor formulas report
+  | _ -> report
 
 let check_formulas ?options ?partition formulas =
   let options =
@@ -254,13 +220,15 @@ let run_document ?options document =
     match options with Some o -> o | None -> default_options ()
   in
   let (translation, document, diagnostics), translation_s =
-    timed (fun () -> translate_document options document)
+    Speccc_runtime.Runtime.timed (fun () ->
+        translate_document options document)
   in
   let raw_formulas =
     List.map (fun r -> r.Translate.formula) translation.Translate.requirements
   in
   let (formulas, time_solution), abstraction_s =
-    timed (fun () -> abstract_times options raw_formulas)
+    Speccc_runtime.Runtime.timed (fun () ->
+        abstract_times options raw_formulas)
   in
   let tagged = List.combine document formulas in
   let assumptions =
@@ -280,7 +248,7 @@ let run_document ?options document =
      adopt assumption-only propositions as inputs (they describe the
      environment). *)
   let partition, partition_s =
-    timed (fun () ->
+    Speccc_runtime.Runtime.timed (fun () ->
         let analysis = Partition.of_requirements guarantees in
         let known =
           analysis.Partition.partition.Partition.inputs
@@ -302,7 +270,7 @@ let run_document ?options document =
         })
   in
   let report, synthesis_s =
-    timed (fun () ->
+    Speccc_runtime.Runtime.timed (fun () ->
         synthesize options ~assumptions
           ~inputs:partition.Partition.partition.Partition.inputs
           ~outputs:partition.Partition.partition.Partition.outputs guarantees)

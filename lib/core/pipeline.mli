@@ -16,10 +16,9 @@ type options = {
   bound : int;
   fuel : int option;
       (** deterministic step budget for the synthesis stage; [None] =
-          ungoverned.  Setting any of [fuel], [deadline] or [cancel]
-          routes synthesis through
-          {!Speccc_synthesis.Realizability.check_governed} and its
-          fallback ladder, with a lint pass as the ladder's floor. *)
+          unlimited.  Synthesis always runs
+          {!Speccc_synthesis.Realizability.check}'s engine ladder, with
+          a lint pass as the ladder's floor when every rung degraded. *)
   deadline : float option;
       (** wall-clock seconds allowed for the synthesis stage *)
   cancel : Speccc_runtime.Cancellation.token option;
@@ -27,9 +26,8 @@ type options = {
   skip_engines : string list;
       (** ladder rungs (by name: ["symbolic"], ["explicit"], ["sat"])
           to bypass in this run — the serve mode's circuit breakers
-          set this while a rung's breaker is open.  A non-empty list
-          routes synthesis through the governed ladder even without a
-          budget; ignored when [engine] is forced. *)
+          set this while a rung's breaker is open; ignored when
+          [engine] is forced. *)
   recover : bool;
       (** true: an ungrammatical requirement is dropped with a located
           diagnostic ([outcome.diagnostics]) and checking continues
@@ -40,9 +38,11 @@ type options = {
       (** true: validate the verdict's witness with
           {!Speccc_certify.Certify.apply} (on a small reserved budget)
           before reporting; a rejected certificate downgrades the
-          verdict to [Inconclusive] *)
+          verdict to [Inconclusive].  Also asks the ladder for a
+          witness ([~witness] of
+          {!Speccc_synthesis.Realizability.check}). *)
   snapshot : Speccc_runtime.Snapshot.slot option;
-      (** anytime-progress slot threaded onto the governed budget: the
+      (** anytime-progress slot threaded onto the synthesis budget: the
           engines publish resumable frontiers into it, and an armed
           resume snapshot lets a retried run skip already-completed
           escalation work (see {!Speccc_runtime.Snapshot}) *)
@@ -50,7 +50,7 @@ type options = {
 
 val default_options : unit -> options
 (** Ungoverned: [fuel], [deadline] and [cancel] are all [None], so
-    {!run} behaves exactly as before the resource-governance layer. *)
+    the ladder runs under an unlimited budget. *)
 
 type stage_times = {
   translation_s : float;
@@ -84,12 +84,6 @@ val abstract_times :
     [options.use_smt_abstraction]) and rewrite the formulas.  Exposed
     for {!Watch}, which re-runs translation and abstraction per edit
     but owns its own synthesis path. *)
-
-val governed : options -> bool
-(** True when the options route synthesis through the governed ladder
-    ({!Speccc_synthesis.Realizability.check_governed}): any of [fuel],
-    [deadline], [cancel], [skip_engines] or [snapshot] set, or memory
-    pressure above normal. *)
 
 val run : ?options:options -> string list -> outcome
 (** Full pipeline from requirement sentences (positional identifiers;

@@ -118,11 +118,6 @@ let doc_key doc =
        (fun item -> item.Document.id ^ "\x1f" ^ item.Document.text)
        doc)
 
-let timed f =
-  let start = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. start)
-
 let cache_hits name =
   match
     List.find_opt
@@ -140,7 +135,7 @@ let ids_of doc checked =
       List.map (Document.id_at doc) loc.Localize.partners )
 
 (* Localization mirrors [Pipeline.check_formulas]: re-derive the
-   partition for each subset, then an ungoverned consistency check —
+   partition for each subset, then an unlimited-budget ladder check —
    here routed through the session's engine state so subset verdicts
    decided before an unrelated edit are reused. *)
 let check_subset session subset =
@@ -163,18 +158,27 @@ let localize_of session outcome =
   | Realizability.Consistent | Realizability.Inconclusive _ -> None
 
 (* Governed, recovering or certifying sessions fall back to the full
-   pipeline per check: those paths own budget slicing, snapshot slots
-   and dropped-sentence bookkeeping that the incremental path does not
-   replicate.  Still a watch session — just without engine reuse. *)
+   pipeline per check: fuel charged against a budget must not depend
+   on what the session cached before, and the pipeline owns snapshot
+   slots, certification and dropped-sentence bookkeeping that the
+   incremental path does not replicate.  Still a watch session — just
+   without engine reuse. *)
+let governed (options : Pipeline.options) =
+  options.fuel <> None || options.deadline <> None || options.cancel <> None
+  || options.skip_engines <> [] || options.snapshot <> None
+  || Speccc_runtime.Memwatch.level () <> Speccc_runtime.Memwatch.Normal
+
 let fallback session =
   let outcome = Pipeline.run_document ~options:session.options session.doc in
+  (* subset checks never read a witness *)
+  let subset_options = { session.options with Pipeline.certify = false } in
   let localization =
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Inconsistent ->
       Localize.run
         ~check:(fun subset ->
           let _, report =
-            Pipeline.check_formulas ~options:session.options subset
+            Pipeline.check_formulas ~options:subset_options subset
           in
           report.Realizability.verdict = Realizability.Consistent)
         outcome.Pipeline.formulas
@@ -195,7 +199,7 @@ let incremental session =
   let parse_hits0 = cache_hits "nlp.parse" in
   let engine0 = Bounded.session_stats session.engine in
   let translation, translation_s =
-    timed (fun () ->
+    Speccc_runtime.Runtime.timed (fun () ->
         Translate.specification ~parse_cache:session.parse
           options.Pipeline.translate
           (Document.texts session.doc))
@@ -206,7 +210,8 @@ let incremental session =
       translation.Translate.requirements
   in
   let (formulas, time_solution), abstraction_s =
-    timed (fun () -> Pipeline.abstract_times options raw_formulas)
+    Speccc_runtime.Runtime.timed (fun () ->
+        Pipeline.abstract_times options raw_formulas)
   in
   (* Explicit invalidation: edited-away formulas (their hash-cons ids
      no longer appear in the document) are dropped from the localize
@@ -242,7 +247,7 @@ let incremental session =
      shape heuristic over the guarantees, assumption-only propositions
      adopted as inputs. *)
   let partition, partition_s =
-    timed (fun () ->
+    Speccc_runtime.Runtime.timed (fun () ->
         let analysis = Partition.of_requirements guarantees in
         let known =
           analysis.Partition.partition.Partition.inputs
@@ -265,7 +270,7 @@ let incremental session =
         })
   in
   let report, synthesis_s =
-    timed (fun () ->
+    Speccc_runtime.Runtime.timed (fun () ->
         Realizability.check ~engine:options.Pipeline.engine
           ~lookahead:options.Pipeline.lookahead
           ~bound:options.Pipeline.bound ~assumptions
@@ -315,7 +320,7 @@ let check session =
     }
   in
   if
-    Pipeline.governed session.options
+    governed session.options
     || session.options.Pipeline.recover
     || session.options.Pipeline.certify
   then finish (fallback session)

@@ -44,3 +44,8 @@ let guard ~stage f =
   | exception Interrupt error -> Error error
   | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
   | exception exn -> Error (Engine_failure (stage, Printexc.to_string exn))
+
+let timed f =
+  let start = Unix.gettimeofday () in
+  let result = f () in
+  (result, Unix.gettimeofday () -. start)

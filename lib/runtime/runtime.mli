@@ -52,3 +52,8 @@ val guard : stage:string -> (unit -> 'a) -> ('a, error) result
     to its payload, and any other exception (except [Out_of_memory],
     [Stack_overflow] and asynchronous exits, which are re-raised) maps
     to [Engine_failure (stage, Printexc.to_string exn)]. *)
+
+val timed : (unit -> 'a) -> 'a * float
+(** [timed f] runs [f] and pairs its result with the wall-clock
+    seconds it took — the one stage timer shared by the ladder, the
+    pipeline and watch sessions. *)

@@ -683,14 +683,17 @@ let refute counterstrategy machine =
   in
   play counterstrategy.cs_initial machine.Mealy.initial [] 0
 
-let check_size ~max_letters ~inputs ~outputs =
+let fits ?(max_letters = 4096) ~inputs ~outputs () =
   let bits = List.length inputs + List.length outputs in
-  if bits > 24 || 1 lsl bits > max_letters then
+  bits <= 24 && 1 lsl bits <= max_letters
+
+let check_size ~max_letters ~inputs ~outputs =
+  if not (fits ~max_letters ~inputs ~outputs ()) then
     invalid_arg
       (Printf.sprintf
          "Bounded.solve: %d propositions exceed the explicit engine's \
           letter budget (max_letters = %d); use the symbolic engine"
-         bits max_letters)
+         (List.length inputs + List.length outputs) max_letters)
 
 let solve ?budget ?(bound = 3) ?(max_letters = 4096) ?algorithm ~inputs
     ~outputs spec =

@@ -87,6 +87,11 @@ val solve :
     (a loss under a resumed frontier is re-checked from the top).
     The fault checkpoint ["engine.explicit"] is announced on entry. *)
 
+val fits :
+  ?max_letters:int -> inputs:string list -> outputs:string list -> unit -> bool
+(** Does the alphabet fit the letter budget ([max_letters], default
+    [4096])?  {!solve} raises [Invalid_argument] when it does not. *)
+
 val solve_iterative :
   ?budget:Speccc_runtime.Budget.t ->
   ?max_bound:int ->

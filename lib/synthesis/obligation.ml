@@ -90,8 +90,8 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
      later steps, which reuse the manager but do bounded work. *)
   Bdd.set_budget manager budget;
   (* Reordering trigger: once the unique table outgrows this, the
-     fixpoint reorders at the next round boundary.  Governed runs never
-     reorder (sifting would perturb fuel accounting). *)
+     fixpoint reorders at the next round boundary.  Runs with finite
+     fuel never reorder (sifting would perturb fuel accounting). *)
   (match
      match Sys.getenv_opt "SPECCC_BDD_REORDER" with
      | Some raw -> int_of_string_opt raw
@@ -233,7 +233,12 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
      pinned root-most and each (z_j, z'_j) pair stays glued so the
      current-to-next renaming stays monotone. *)
   let maybe_reorder conjuncts w =
-    if budget = None && Bdd.reorder_due manager then begin
+    let unlimited_fuel =
+      match budget with
+      | None -> true
+      | Some b -> Speccc_runtime.Budget.remaining b = None
+    in
+    if unlimited_fuel && Bdd.reorder_due manager then begin
       let roots = w :: (conjuncts @ Array.to_list progression_bdds) in
       match
         Bdd.reorder manager ~pinned:num_inputs ~groups:z_groups roots

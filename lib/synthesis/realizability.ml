@@ -26,11 +26,6 @@ type report = {
   degradation : rung list;
 }
 
-let with_timer f =
-  let start = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. start)
-
 (* ---------- witness emission (with corruption drill points) ---------- *)
 
 (* Every controller and counterstrategy passes through a
@@ -106,7 +101,7 @@ let explicit_verdict_of = function
 
 let explicit_report solve =
   let (verdict, controller, counterstrategy, detail), wall_time =
-    with_timer (fun () -> explicit_verdict_of (solve ()))
+    Runtime.timed (fun () -> explicit_verdict_of (solve ()))
   in
   {
     verdict;
@@ -118,18 +113,6 @@ let explicit_report solve =
     detail;
     degradation = [];
   }
-
-let run_explicit ?budget ~bound ~inputs ~outputs spec =
-  explicit_report (fun () ->
-      Bounded.solve_iterative ?budget ~max_bound:bound ~inputs ~outputs spec)
-
-(* Session-incremental variant: assumption-free requirement lists go
-   through the block-decomposed conjunction solver, which reuses the
-   session's arena blocks and solo frontiers (see {!Bounded}). *)
-let run_explicit_conj ~session ~bound ~inputs ~outputs requirements =
-  explicit_report (fun () ->
-      Bounded.solve_conj_iterative ~session ~max_bound:bound ~inputs ~outputs
-        requirements)
 
 let run_symbolic ?budget ~lookahead ~inputs ~outputs spec =
   let had_liveness = Classify.has_liveness spec in
@@ -187,7 +170,7 @@ let run_symbolic ?budget ~lookahead ~inputs ~outputs spec =
        | None -> (lookahead, None))
   in
   let result, wall_time =
-    with_timer (fun () -> attempt ~completed:start_completed start)
+    Runtime.timed (fun () -> attempt ~completed:start_completed start)
   in
   match result with
   | Ok (strategy, bound) ->
@@ -229,7 +212,7 @@ let run_symbolic ?budget ~lookahead ~inputs ~outputs spec =
 
 let run_sat ?budget ~inputs ~outputs spec =
   let result, wall_time =
-    with_timer (fun () ->
+    Runtime.timed (fun () ->
         Satsynth.solve_iterative ?budget ~inputs ~outputs spec)
   in
   match result with
@@ -265,33 +248,7 @@ let spec_of ~assumptions requirements =
   | [] -> guarantees
   | _ -> Ltl.implies (Ltl.conj_list assumptions) guarantees
 
-let check ?(engine = Auto) ?(lookahead = 6) ?(bound = 8)
-    ?(explicit_prop_limit = 12) ?(assumptions = []) ?explicit_session ~inputs
-    ~outputs requirements =
-  let spec = spec_of ~assumptions requirements in
-  let chosen =
-    match engine with
-    | Explicit -> `Explicit
-    | Symbolic -> `Symbolic
-    | Auto ->
-      (* assumption implications fall outside the obligation game's
-         completeness fragment *)
-      if assumptions <> []
-      || List.length inputs + List.length outputs <= explicit_prop_limit
-      then `Explicit
-      else `Symbolic
-  in
-  match chosen with
-  | `Explicit ->
-    (match explicit_session with
-     | Some session when assumptions = [] ->
-       (* With assumptions the spec is an implication, not a plain
-          conjunction — the block decomposition does not apply. *)
-       run_explicit_conj ~session ~bound ~inputs ~outputs requirements
-     | Some _ | None -> run_explicit ~bound ~inputs ~outputs spec)
-  | `Symbolic -> run_symbolic ~lookahead ~inputs ~outputs spec
-
-(* ---------- resource-governed checking with a fallback ladder ---------- *)
+(* ---------- the engine ladder ---------- *)
 
 let ladder_stages ~assumptions =
   (* The symbolic obligation game is incomplete for the top-level
@@ -306,20 +263,48 @@ let stage_name = function
   | `Explicit -> "explicit"
   | `Sat -> "sat"
 
-let check_governed ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8)
-    ?(explicit_prop_limit = 12) ?(skip = []) ?(assumptions = []) ~inputs
+let inconclusive ~engine_used ~detail why =
+  {
+    verdict = Inconclusive why;
+    engine_used;
+    controller = None;
+    counterstrategy = None;
+    unsat_core = None;
+    wall_time = 0.;
+    detail;
+    degradation = [];
+  }
+
+let skipped_rung ?error stage outcome =
+  {
+    rung_engine = stage_name stage;
+    rung_outcome = "skipped: " ^ outcome;
+    rung_error = error;
+    rung_wall = 0.;
+  }
+
+let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
+    ?(assumptions = []) ?explicit_session ?(witness = false) ~inputs
     ~outputs requirements =
-  ignore explicit_prop_limit;
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let spec = spec_of ~assumptions requirements in
   let run_stage stage rung_budget =
-    match stage with
-    | `Symbolic ->
+    match stage, explicit_session with
+    | `Symbolic, _ ->
       run_symbolic ~budget:rung_budget ~lookahead ~inputs ~outputs spec
-    | `Explicit ->
-      run_explicit ~budget:rung_budget ~bound ~inputs ~outputs spec
-    | `Sat -> run_sat ~budget:rung_budget ~inputs ~outputs spec
+    | `Explicit, Some session when assumptions = [] ->
+      (* With assumptions the spec is an implication, not a plain
+         conjunction — the block decomposition does not apply. *)
+      explicit_report (fun () ->
+          Bounded.solve_conj_iterative ~budget:rung_budget ~session
+            ~max_bound:bound ~inputs ~outputs requirements)
+    | `Explicit, _ ->
+      explicit_report (fun () ->
+          Bounded.solve_iterative ~budget:rung_budget ~max_bound:bound
+            ~inputs ~outputs spec)
+    | `Sat, _ -> run_sat ~budget:rung_budget ~inputs ~outputs spec
   in
+  let forced = engine <> Auto in
   let stages =
     match engine with
     | Explicit -> [ `Explicit ]
@@ -333,121 +318,130 @@ let check_governed ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8)
      so the degradation log still explains why the verdict came from a
      lower rung. *)
   let stages, skipped =
-    match engine with
-    | Auto when skip <> [] ->
-      List.partition (fun s -> not (List.mem (stage_name s) skip)) stages
-    | _ -> (stages, [])
-  in
-  let skipped_rungs =
-    List.map
+    List.partition_map
       (fun stage ->
-         {
-           rung_engine = stage_name stage;
-           rung_outcome = "skipped: circuit breaker open";
-           rung_error = None;
-           rung_wall = 0.;
-         })
-      skipped
+         if (not forced) && List.mem (stage_name stage) skip then
+           Right (skipped_rung stage "circuit breaker open")
+         else Left stage)
+      stages
   in
   (* Hard memory watermark: under heap pressure the game engines'
      state spaces (explicit position tables, BDD node stores) are the
      liability, so the ladder collapses to its lowest-memory rung —
      bounded SAT synthesis — and logs the higher rungs as typed
-     memory degradations.  Only the [Auto] ladder degrades; a forced
-     engine is an explicit caller choice. *)
-  let stages, skipped_rungs =
-    match engine, List.rev stages with
-    | Auto, (last :: _ :: _ as rev_stages)
-      when Memwatch.level () = Memwatch.Hard ->
-      let shed = List.rev (List.tl rev_stages) in
-      let mem_rungs =
-        List.map
-          (fun stage ->
-             let name = stage_name stage in
-             {
-               rung_engine = name;
-               rung_outcome = "skipped: hard memory watermark";
-               rung_error =
-                 Some
-                   (Runtime.Degraded
-                      ( "memory",
-                        Runtime.Engine_failure
-                          (name, "hard memory watermark") ));
-               rung_wall = 0.;
-             })
-          shed
+     memory degradations.  Only the [Auto] ladder degrades. *)
+  let stages, skipped =
+    match List.rev stages with
+    | last :: (_ :: _ as shed)
+      when (not forced) && Memwatch.level () = Memwatch.Hard ->
+      let memory stage =
+        skipped_rung stage "hard memory watermark"
+          ~error:
+            (Runtime.Degraded
+               ( "memory",
+                 Runtime.Engine_failure
+                   (stage_name stage, "hard memory watermark") ))
       in
-      ([ last ], skipped_rungs @ mem_rungs)
-    | _ -> (stages, skipped_rungs)
-  in
-  (* Fuel slicing: every rung but the last gets half of what remains,
-     so a stuck early engine cannot starve the ladder's floor. *)
-  let slice_for ~last =
-    match Budget.remaining budget with
-    | None -> max_int / 2
-    | Some r -> if last then r else max 1 (r / 2)
+      ([ last ], skipped @ List.rev_map memory shed)
+    | _ -> (stages, skipped)
   in
   let total_wall = ref 0.0 in
+  (* Fuel slicing: under a finite budget every rung but the last gets
+     half of what remains, so a stuck early engine cannot starve the
+     ladder's floor.  Under unlimited fuel the rungs share the budget
+     itself (its deadline, token and snapshot slot). *)
+  let run_rung ~last stage =
+    let rung_budget =
+      match Budget.remaining budget with
+      | None -> budget
+      | Some r -> Budget.child budget ~fuel:(if last then r else max 1 (r / 2))
+    in
+    let result, rung_wall =
+      Runtime.timed (fun () ->
+          Runtime.guard ~stage:(stage_name stage) (fun () ->
+              run_stage stage rung_budget))
+    in
+    if rung_budget != budget then Budget.absorb budget rung_budget;
+    total_wall := !total_wall +. rung_wall;
+    (result, rung_wall)
+  in
+  let finish log report =
+    {
+      report with
+      wall_time = !total_wall;
+      degradation = dedup_degradation (List.rev log);
+    }
+  in
   let rec descend stages log last_inconclusive =
     match stages with
     | [] ->
-      let detail =
+      let detail, engine_used =
         match last_inconclusive with
-        | Some report -> report.detail
-        | None -> "every engine in the ladder degraded"
+        | Some report -> (report.detail, report.engine_used)
+        | None -> ("every engine in the ladder degraded", "none")
       in
-      Ok
-        {
-          verdict =
-            Inconclusive
-              "all engines degraded or inconclusive under the budget";
-          engine_used =
-            (match last_inconclusive with
-             | Some report -> report.engine_used
-             | None -> "none");
-          controller = None;
-          counterstrategy = None;
-          unsat_core = None;
-          wall_time = !total_wall;
-          detail;
-          degradation = dedup_degradation (List.rev log);
-        }
+      finish log
+        (inconclusive ~engine_used ~detail
+           "all engines degraded or inconclusive under the budget")
+    | `Explicit :: rest when not (Bounded.fits ~inputs ~outputs ()) ->
+      (* inapplicable, forced or not: recorded only once reached *)
+      let why =
+        Printf.sprintf
+          "%d propositions exceed the explicit engine's letter budget"
+          (List.length inputs + List.length outputs)
+      in
+      descend rest (skipped_rung `Explicit why :: log) last_inconclusive
     | stage :: rest ->
-      let name = stage_name stage in
-      let rung_budget = Budget.child budget ~fuel:(slice_for ~last:(rest = [])) in
-      let result, rung_wall =
-        with_timer (fun () ->
-            Runtime.guard ~stage:name (fun () -> run_stage stage rung_budget))
-      in
-      Budget.absorb budget rung_budget;
-      total_wall := !total_wall +. rung_wall;
-      (match result with
-       | Ok ({ verdict = Consistent | Inconsistent; _ } as report) ->
-         Ok
-           {
-             report with
-             wall_time = !total_wall;
-             degradation = dedup_degradation (List.rev log);
-           }
-       | Ok ({ verdict = Inconclusive why; _ } as report) ->
+      (match run_rung ~last:(rest = []) stage with
+       | Ok ({ verdict = Inconsistent; counterstrategy = None; _ } as report), _
+         when witness && List.mem `Explicit rest
+              && Bounded.fits ~inputs ~outputs () ->
+         (* A symbolic refutation carries no counterstrategy; a caller
+            that reads the witness gets one from the explicit rung's
+            dual game, and keeps the symbolic verdict if that rung
+            cannot produce it. *)
+         (match run_rung ~last:false `Explicit with
+          | Ok ({ verdict = Inconsistent; _ } as explicit), _ ->
+            finish log explicit
+          | _ -> finish log report)
+       | Ok ({ verdict = Consistent | Inconsistent; _ } as report), _ ->
+         finish log report
+       | Ok report, _ when rest = [] && log = [] ->
+         (* a one-rung ladder (a forced engine) reports that engine's
+            own inconclusive verdict *)
+         finish log report
+       | Ok ({ verdict = Inconclusive why; _ } as report), rung_wall ->
          let rung =
            {
-             rung_engine = name;
+             rung_engine = stage_name stage;
              rung_outcome = "inconclusive: " ^ why;
              rung_error = None;
              rung_wall;
            }
          in
          descend rest (rung :: log) (Some report)
-       | Error ((Runtime.Timeout _ | Runtime.Cancelled _) as error) ->
+       | Error ((Runtime.Timeout _ | Runtime.Cancelled _) as error), _ ->
          (* The wall-clock deadline and cancellation are global: no
             point starting a cheaper engine that will be killed at its
             first poll. *)
-         Error error
-       | Error error ->
+         let why = Runtime.to_string error in
+         {
+           (inconclusive ~engine_used:"none" ~detail:why why) with
+           wall_time = !total_wall;
+           degradation =
+             [
+               {
+                 rung_engine = "ladder";
+                 rung_outcome = why;
+                 rung_error = Some error;
+                 rung_wall = 0.;
+               };
+             ];
+         }
+       | Error error, rung_wall ->
          let rung =
            {
-             rung_engine = name;
+             rung_engine = stage_name stage;
              rung_outcome = Runtime.to_string error;
              rung_error = Some error;
              rung_wall;
@@ -455,4 +449,4 @@ let check_governed ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8)
          in
          descend rest (rung :: log) last_inconclusive)
   in
-  descend stages (List.rev skipped_rungs) None
+  descend stages (List.rev skipped) None

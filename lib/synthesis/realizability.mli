@@ -4,22 +4,19 @@
     input propositions and driving the output propositions exists
     (Sec. V-A).
 
-    Three engines are available:
-    - [Explicit]: exact bounded synthesis with a dual-game
-      unrealizability check ({!Bounded}); cost is exponential in the
-      number of propositions, so it is reserved for small alphabets.
+    Three engines form one fallback ladder, run by {!check}:
     - [Symbolic]: BDD obligation game ({!Obligation}); liveness is
       first strengthened to [lookahead]-bounded eventualities, exactly
       as G4LTL's unroll parameter does.
-    - the SAT-based bounded-machine search ({!Satsynth}), used only as
-      a fallback rung by {!check_governed}.
-    - [Auto] picks [Explicit] for small alphabets and [Symbolic]
-      otherwise.
+    - [Explicit]: exact bounded synthesis with a dual-game
+      unrealizability check ({!Bounded}); cost is exponential in the
+      number of propositions, so the rung is skipped when the alphabet
+      exceeds the engine's letter budget ({!Bounded.fits}).
+    - the SAT-based bounded-machine search ({!Satsynth}), the last
+      rung.
 
-    {!check} is the classic ungoverned entry point; {!check_governed}
-    runs under a {!Speccc_runtime.Budget} and degrades down a fallback
-    ladder (symbolic → explicit → SAT) instead of hanging or raising,
-    recording every degradation step. *)
+    [Auto] runs the whole ladder; forcing [Explicit] or [Symbolic]
+    runs that single rung. *)
 
 type engine = Explicit | Symbolic | Auto
 
@@ -59,7 +56,7 @@ type report = {
   degradation : rung list;
       (** engines tried and abandoned before this verdict, in order,
           at most one entry per engine; [[]] when the first engine
-          concluded (always [[]] from {!check}) *)
+          concluded *)
 }
 
 (** {2 Witnesses}
@@ -79,7 +76,7 @@ val emit_core : int list -> int list
 
 val dedup_degradation : rung list -> rung list
 (** Keep the first rung per engine, preserving order — the
-    once-per-engine invariant {!check_governed} maintains, exposed for
+    once-per-engine invariant {!check} maintains, exposed for
     callers that append rungs themselves. *)
 
 val canonical_degradation : report -> rung list
@@ -89,72 +86,67 @@ val canonical_degradation : report -> rung list
     given report always renders identically. *)
 
 val check :
+  ?budget:Speccc_runtime.Budget.t ->
   ?engine:engine ->
   ?lookahead:int ->
   ?bound:int ->
-  ?explicit_prop_limit:int ->
+  ?skip:string list ->
   ?assumptions:Speccc_logic.Ltl.t list ->
   ?explicit_session:Bounded.session ->
+  ?witness:bool ->
   inputs:string list ->
   outputs:string list ->
   Speccc_logic.Ltl.t list ->
   report
-(** [check ~inputs ~outputs requirements].  Defaults: [engine = Auto],
-    [lookahead = 6] (bounded-eventuality depth for the symbolic
-    engine), [bound = 8] (maximal counting bound for the explicit
-    engine), [explicit_prop_limit = 12] (Auto threshold on
-    [|inputs| + |outputs|]).
+(** [check ~inputs ~outputs requirements] — the one entry point.
+    Defaults: [engine = Auto], [lookahead = 6] (bounded-eventuality
+    depth for the symbolic engine), [bound = 8] (maximal counting
+    bound for the explicit engine), [budget] unlimited.
 
-    [explicit_session] opts assumption-free checks that land on the
-    explicit engine into {!Bounded.solve_conj_iterative}'s session-
-    incremental block decomposition: arena blocks and solo frontiers
-    for unchanged requirement formulas are reused across calls, and
-    verdicts and witnesses are bit-identical to the same call with a
-    fresh session.  Ignored for the symbolic engine and for
-    assumption-carrying checks (the spec is then an implication, not a
-    plain conjunction).
+    {b The ladder.}  Under [Auto] the rungs run in the order symbolic
+    → explicit → SAT, or explicit → SAT when [assumptions] are given.
+    The first definite verdict ends the ladder; a rung's fuel
+    exhaustion, engine failure or inconclusive verdict drops to the
+    next rung and is recorded in [report.degradation].  Forcing
+    [engine] runs that single rung, whose report — inconclusive or
+    not — is the result.  An explicit rung whose alphabet
+    exceeds the engine's letter budget is skipped as inapplicable,
+    forced or not.  A call without [budget] is the same ladder under
+    an unlimited budget.  Under a finite budget every rung but the
+    last gets half of the remaining fuel (the last gets all of it).
+
+    {b Witnesses.}  A symbolic [Inconsistent] carries no
+    counterstrategy.  With [witness] set (default [false]) the ladder
+    then continues to the explicit rung, when it is still in the
+    ladder, and returns its counterstrategy-carrying report; if that
+    rung cannot produce one, the symbolic report stands.  Callers that
+    never read the witness (subset checks, uncertified requests) leave
+    [witness] unset and do not pay for the explicit dual game.
+
+    [skip] (rung names, e.g. [["symbolic"]]) removes rungs from the
+    [Auto] ladder before it runs — the serve mode's circuit breakers
+    use this to bypass a rung that keeps failing.  Each skipped rung
+    is recorded in [report.degradation] with an outcome starting
+    ["skipped:"].  [skip] is ignored when [engine] is forced; skipping
+    every rung yields the same [Inconclusive] report as a ladder whose
+    every rung degraded.  Under the hard memory watermark the [Auto]
+    ladder collapses to its last rung.
+
+    [explicit_session] routes assumption-free checks on the explicit
+    rung through {!Bounded.solve_conj_iterative}'s session-incremental
+    block decomposition: arena blocks and solo frontiers for unchanged
+    requirement formulas are reused across calls, and verdicts and
+    witnesses are bit-identical to the same call with a fresh session.
 
     [assumptions] are environment hypotheses [A]: the checked formula
     becomes [(∧A) → (∧requirements)], so the system need only comply
     while the environment behaves.  The top-level temporal disjunction
     this introduces is outside the symbolic engine's completeness
-    fragment, so [Auto] routes assumption-carrying checks to the
-    explicit engine; forcing [Symbolic] stays sound but may report
-    spurious unrealizability. *)
+    fragment, so [Auto] starts assumption-carrying checks at the
+    explicit rung; forcing [Symbolic] stays sound but may report
+    spurious unrealizability.
 
-val check_governed :
-  ?budget:Speccc_runtime.Budget.t ->
-  ?engine:engine ->
-  ?lookahead:int ->
-  ?bound:int ->
-  ?explicit_prop_limit:int ->
-  ?skip:string list ->
-  ?assumptions:Speccc_logic.Ltl.t list ->
-  inputs:string list ->
-  outputs:string list ->
-  Speccc_logic.Ltl.t list ->
-  (report, Speccc_runtime.Runtime.error) result
-(** Resource-governed {!check}.  Under [engine = Auto] (the default)
-    the engines form a fallback ladder — symbolic under a fuel slice,
-    then the exact explicit engine with its escalating counting
-    bound, then the SAT-based bounded-machine search — where each rung
-    gets half of the remaining fuel (the last gets all of it) and a
-    rung's fuel exhaustion, engine failure or inconclusive verdict
-    drops to the next rung, recorded in [report.degradation].  Forcing
-    [engine] runs a one-rung ladder.  Assumption-carrying checks skip
-    the symbolic rung (see {!check}).
-
-    [skip] (rung names, e.g. [["symbolic"]]) removes rungs from the
-    [Auto] ladder before it runs — the serve mode's circuit breakers
-    use this to bypass a rung that keeps failing.  Each skipped rung
-    is recorded in [report.degradation] with outcome
-    ["skipped: circuit breaker open"].  [skip] is ignored when
-    [engine] is forced; skipping every rung yields the same
-    [Inconclusive] report as a ladder whose every rung degraded.
-
-    Never raises.  Returns [Error] only for the {e global} resource
-    events — [Timeout] (wall-clock deadline) and [Cancelled] — that
-    make running further rungs pointless; everything else, including
-    full fuel exhaustion, yields [Ok] with a sound verdict
-    ([Inconclusive] when no engine concluded) and a populated
-    degradation log. *)
+    Never raises.  A wall-clock [Timeout] or [Cancelled] is global: it
+    aborts the ladder with an [Inconclusive] report whose engine is
+    ["none"] and whose degradation log is the single rung ["ladder"]
+    carrying the error. *)

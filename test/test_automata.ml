@@ -137,9 +137,12 @@ let prop_template_matches_tableau =
        if Template.abstract f = None then
          QCheck2.Test.fail_report "generator produced a non-template shape";
        let templated = Nbw.of_ltl f in
-       (* a governed call bypasses both caches and runs the tableau *)
+       (* an armed (here: empty) fault plan bypasses both caches and
+          runs the tableau *)
        let tableau =
-         Nbw.of_ltl ~budget:(Speccc_runtime.Budget.create ~fuel:1_000_000 ()) f
+         Speccc_runtime.Fault.install [];
+         Fun.protect ~finally:Speccc_runtime.Fault.clear (fun () ->
+             Nbw.of_ltl f)
        in
        List.for_all
          (fun w ->

@@ -256,9 +256,9 @@ let inputs = [ "i" ]
 let outputs = [ "o" ]
 let realizable_spec = [ parse "G (i -> o)" ]
 
-let governed ?budget ?(faults = []) formulas =
+let ladder ?budget ?(faults = []) formulas =
   with_faults faults (fun () ->
-      Realizability.check_governed ?budget ~inputs ~outputs formulas)
+      Realizability.check ?budget ~inputs ~outputs formulas)
 
 let rung_engines report =
   List.map (fun r -> r.Realizability.rung_engine)
@@ -268,90 +268,85 @@ let fail_at checkpoint =
   { Fault.checkpoint; after = 0; action = Fault.Fail "injected" }
 
 let test_ladder_no_fault () =
-  match governed ~budget:(Budget.create ~fuel:500_000 ()) realizable_spec with
-  | Ok report ->
-    Alcotest.(check bool) "consistent" true
-      (report.Realizability.verdict = Realizability.Consistent);
-    Alcotest.(check (list string)) "no degradation" [] (rung_engines report)
-  | Error e -> Alcotest.fail (Runtime.to_string e)
+  let report =
+    ladder ~budget:(Budget.create ~fuel:500_000 ()) realizable_spec
+  in
+  Alcotest.(check bool) "consistent" true
+    (report.Realizability.verdict = Realizability.Consistent);
+  Alcotest.(check (list string)) "no degradation" [] (rung_engines report)
 
 let test_ladder_first_rung_fails () =
-  match
-    governed ~faults:[ fail_at Fault.Checkpoint.engine_symbolic ] realizable_spec
-  with
-  | Ok report ->
-    Alcotest.(check bool) "consistent" true
-      (report.Realizability.verdict = Realizability.Consistent);
-    Alcotest.(check string) "fell to explicit" "explicit"
-      report.Realizability.engine_used;
-    Alcotest.(check (list string)) "one rung logged" [ "symbolic" ]
-      (rung_engines report)
-  | Error e -> Alcotest.fail (Runtime.to_string e)
+  let report =
+    ladder ~faults:[ fail_at Fault.Checkpoint.engine_symbolic ] realizable_spec
+  in
+  Alcotest.(check bool) "consistent" true
+    (report.Realizability.verdict = Realizability.Consistent);
+  Alcotest.(check string) "fell to explicit" "explicit"
+    report.Realizability.engine_used;
+  Alcotest.(check (list string)) "one rung logged" [ "symbolic" ]
+    (rung_engines report)
 
 let test_ladder_two_rungs_fail () =
-  match
-    governed
+  let report =
+    ladder
       ~faults:[ fail_at Fault.Checkpoint.engine_symbolic; fail_at Fault.Checkpoint.engine_explicit ]
       realizable_spec
-  with
-  | Ok report ->
-    Alcotest.(check bool) "consistent" true
-      (report.Realizability.verdict = Realizability.Consistent);
-    Alcotest.(check string) "fell to sat" "sat"
-      report.Realizability.engine_used;
-    Alcotest.(check (list string)) "two rungs logged"
-      [ "symbolic"; "explicit" ] (rung_engines report)
-  | Error e -> Alcotest.fail (Runtime.to_string e)
+  in
+  Alcotest.(check bool) "consistent" true
+    (report.Realizability.verdict = Realizability.Consistent);
+  Alcotest.(check string) "fell to sat" "sat"
+    report.Realizability.engine_used;
+  Alcotest.(check (list string)) "two rungs logged"
+    [ "symbolic"; "explicit" ] (rung_engines report)
 
 let test_ladder_all_rungs_fail () =
-  match
-    governed
+  let report =
+    ladder
       ~faults:
         [ fail_at Fault.Checkpoint.engine_symbolic; fail_at Fault.Checkpoint.engine_explicit;
           fail_at Fault.Checkpoint.engine_sat ]
       realizable_spec
-  with
-  | Ok report ->
-    (match report.Realizability.verdict with
-     | Realizability.Inconclusive _ -> ()
-     | _ -> Alcotest.fail "no engine left: must be inconclusive");
-    Alcotest.(check (list string)) "three rungs logged"
-      [ "symbolic"; "explicit"; "sat" ] (rung_engines report)
-  | Error e -> Alcotest.fail (Runtime.to_string e)
+  in
+  (match report.Realizability.verdict with
+   | Realizability.Inconclusive _ -> ()
+   | _ -> Alcotest.fail "no engine left: must be inconclusive");
+  Alcotest.(check (list string)) "three rungs logged"
+    [ "symbolic"; "explicit"; "sat" ] (rung_engines report)
 
 let test_ladder_fuel_exhaust_rung () =
   (* An Exhaust fault is indistinguishable from real fuel starvation:
      the rung degrades with a resource error and the ladder goes on. *)
-  match
-    governed
+  let report =
+    ladder
       ~faults:
         [ { Fault.checkpoint = Fault.Checkpoint.engine_symbolic; after = 0;
             action = Fault.Exhaust } ]
       realizable_spec
-  with
-  | Ok report ->
-    Alcotest.(check bool) "consistent" true
-      (report.Realizability.verdict = Realizability.Consistent);
-    (match report.Realizability.degradation with
-     | [ { Realizability.rung_error = Some error; _ } ] ->
-       Alcotest.(check bool) "resource error" true
-         (Runtime.is_resource error)
-     | _ -> Alcotest.fail "expected exactly one degraded rung")
-  | Error e -> Alcotest.fail (Runtime.to_string e)
+  in
+  Alcotest.(check bool) "consistent" true
+    (report.Realizability.verdict = Realizability.Consistent);
+  (match report.Realizability.degradation with
+   | [ { Realizability.rung_error = Some error; _ } ] ->
+     Alcotest.(check bool) "resource error" true
+       (Runtime.is_resource error)
+   | _ -> Alcotest.fail "expected exactly one degraded rung")
 
 let test_ladder_global_timeout_aborts () =
   (* A wall-clock timeout is global: the ladder must stop instead of
      descending to engines that would be killed at their first poll. *)
-  match
-    governed
+  let report =
+    ladder
       ~faults:
         [ { Fault.checkpoint = Fault.Checkpoint.engine_symbolic; after = 0;
             action = Fault.Timeout_now } ]
       realizable_spec
-  with
-  | Error (Runtime.Timeout _) -> ()
-  | Error e -> Alcotest.fail (Runtime.to_string e)
-  | Ok _ -> Alcotest.fail "injected timeout must abort the ladder"
+  in
+  Alcotest.(check string) "no engine concluded" "none"
+    report.Realizability.engine_used;
+  match report.Realizability.degradation with
+  | [ { Realizability.rung_engine = "ladder";
+        rung_error = Some (Runtime.Timeout _); _ } ] -> ()
+  | _ -> Alcotest.fail "injected timeout must abort the ladder"
 
 let test_pipeline_lint_floor () =
   (* Every synthesis engine degraded, but the two requirements are a
@@ -420,25 +415,23 @@ let formula_gen =
             map2 (fun f g -> Ltl.Until (f, g)) sub sub;
           ])
 
-(* check_governed under a fuel-only budget must (a) never raise,
-   (b) never return Error — fuel exhaustion is not a global event —
-   and (c) never spend more than the fuel it was given. *)
-let prop_governed_check_terminates =
+(* A check under a fuel-only budget must (a) never raise, (b) never
+   abort the ladder — fuel exhaustion is not a global event — and
+   (c) never spend more than the fuel it was given. *)
+let prop_budgeted_check_terminates =
   QCheck2.Test.make ~count:60
-    ~name:"budgeted check_governed terminates within fuel, never raises"
+    ~name:"budgeted check stays within fuel"
     QCheck2.Gen.(pair formula_gen (int_range 50 5_000))
     (fun (formula, fuel) ->
        let budget = Budget.create ~fuel () in
-       match
-         Realizability.check_governed ~budget ~inputs:[ "i" ]
-           ~outputs:[ "o"; "p" ] [ formula ]
-       with
-       | Ok _ -> Budget.spent budget <= fuel
-       | Error (Runtime.Timeout _ | Runtime.Fuel_exhausted _) ->
-         (* allowed by the contract, though fuel-only budgets take the
-            Ok path; spending must still respect the cap *)
-         Budget.spent budget <= fuel
-       | Error _ -> false)
+       let report =
+         Realizability.check ~budget ~inputs:[ "i" ] ~outputs:[ "o"; "p" ]
+           [ formula ]
+       in
+       Budget.spent budget <= fuel
+       && List.for_all
+            (fun rung -> rung.Realizability.rung_engine <> "ladder")
+            report.Realizability.degradation)
 
 let () =
   Alcotest.run "runtime"
@@ -499,5 +492,5 @@ let () =
             test_cara_under_tight_budget;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_governed_check_terminates ] );
+        [ QCheck_alcotest.to_alcotest prop_budgeted_check_terminates ] );
     ]
