@@ -487,8 +487,10 @@ let template_bench () =
    never seen (so the whole-document verdict cache cannot hit — the
    numbers measure genuine incremental re-checking).  Three walls per
    edit: the watch session's incremental check, a cold fresh-session
-   check (same decomposed engine, no inherited state), and the stock
-   full pipeline — what every edit used to re-pay. *)
+   check (no inherited state), and a one-shot [Pipeline.run_document].
+   All three run the same block-decomposed explicit solver, so the
+   pipeline column sits next to the cold one rather than paying for
+   the automaton of the whole conjunction. *)
 
 let live_document_items =
   [

@@ -3,7 +3,10 @@
     automaton, read as a universal co-Büchi automaton for the
     specification, and the system must keep every run's count of
     accepting-state visits at or below a bound [k].  The resulting
-    counting-function safety game is solved by a greatest fixpoint.
+    counting-function safety game is solved by a backward greatest
+    fixpoint over antichains of ⊑-maximal counting functions
+    (Acacia-style): the winning region is downward closed, so its
+    frontier of maximal elements represents it exactly.
 
     Verdicts:
     - [Realizable m] is exact — [m] is a controller (and can be
@@ -11,9 +14,8 @@
     - [Unrealizable] is exact — it is produced by solving the {e dual}
       game, where the environment realizes the negation (sound by
       determinacy);
-    - [Unknown] means neither side won within the bound; callers
-      typically retry with a larger bound (this mirrors G4LTL's
-      unroll/look-ahead parameter).
+    - [Unknown] means neither side won at any bound tried (this
+      mirrors G4LTL's unroll/look-ahead parameter).
 
     The engine enumerates input/output valuations explicitly and is
     meant for specifications with a moderate number of propositions;
@@ -38,24 +40,7 @@ type counterstrategy = {
 type verdict =
   | Realizable of Mealy.t
   | Unrealizable of counterstrategy
-  | Unknown of int  (** bound at which both games were lost *)
-
-type algorithm =
-  | Antichain
-      (** Backward greatest fixpoint over ⊑-maximal counting functions
-          (Acacia-style).  The winning region is downward closed, so
-          its frontier of maximal elements represents it exactly;
-          independent requirements cost a few antichain elements
-          instead of a product state space.  This is the default. *)
-  | Enumerate
-      (** Forward enumeration of every reachable counting function
-          followed by a greatest fixpoint on the explicit game graph —
-          the original engine, kept selectable for differential
-          testing and as a fallback. *)
-
-val default_algorithm : unit -> algorithm
-(** [Antichain], unless the environment variable [SPECCC_EXPLICIT] is
-    set to ["full"], ["enum"] or ["enumerate"]. *)
+  | Unknown of int  (** largest bound at which both games were lost *)
 
 val refute : counterstrategy -> Mealy.t -> Speccc_logic.Trace.t
 (** Play the counterstrategy against a candidate controller; the
@@ -64,67 +49,20 @@ val refute : counterstrategy -> Mealy.t -> Speccc_logic.Trace.t
     from.  Raises [Invalid_argument] when the proposition interfaces
     disagree. *)
 
-val solve :
-  ?budget:Speccc_runtime.Budget.t ->
-  ?bound:int ->
-  ?max_letters:int ->
-  ?algorithm:algorithm ->
-  inputs:string list ->
-  outputs:string list ->
-  Speccc_logic.Ltl.t ->
-  verdict
-(** [solve ~inputs ~outputs spec].  Default [bound] is [3]; default
-    [max_letters] is [4096] ([= 2^12] combined valuations); default
-    [algorithm] is {!default_algorithm}.  Both algorithms decide the
-    same games with the same move preferences during extraction, so
-    verdicts and witness machines coincide.  When [budget] is given,
-    fuel is spent as the solver progresses (stage ["explicit"]) —
-    per explored position under [Enumerate], per fixpoint round /
-    input valuation / extracted state under [Antichain]; exhaustion
-    raises [Speccc_runtime.Runtime.Interrupt].  Under [Antichain] and
-    a budget, each fixpoint round publishes its frontier as a snapshot
-    so a preempted run can warm-start; warm starts are verdict-safe
-    (a loss under a resumed frontier is re-checked from the top).
-    The fault checkpoint ["engine.explicit"] is announced on entry. *)
-
 val fits :
   ?max_letters:int -> inputs:string list -> outputs:string list -> unit -> bool
 (** Does the alphabet fit the letter budget ([max_letters], default
     [4096])?  {!solve} raises [Invalid_argument] when it does not. *)
 
-val solve_iterative :
-  ?budget:Speccc_runtime.Budget.t ->
-  ?max_bound:int ->
-  ?max_letters:int ->
-  ?algorithm:algorithm ->
-  inputs:string list ->
-  outputs:string list ->
-  Speccc_logic.Ltl.t ->
-  verdict
-(** Escalate the bound (1, 2, 4, ... up to [max_bound], default 8)
-    until a definite verdict is reached. *)
-
-(** {2 Session-incremental conjunction solving}
+(** {2 Sessions}
 
     The UCW of [¬(f1 ∧ ... ∧ fm)] is the disjoint union of the
-    per-conjunct automata [NBW(¬fi)], so the antichain game over a
-    requirement conjunction decomposes block-wise.  A {!session}
-    caches per formula id the compiled arena block and, per counting
-    bound, the converged {e solo} winning frontier of that block alone
-    (stored through the [speccc-snap1] codec and re-validated on every
-    reuse).  {!solve_conj} then seeds the joint greatest fixpoint with
-    the meet of the lifted solo frontiers — a proven upper bound of
-    the joint winning region — so after a single-conjunct edit only
-    that conjunct's block is rebuilt and re-solved solo, and the joint
-    iteration starts next to its fixpoint instead of at ⊤.
-
-    Seeding is exact, not heuristic: the iteration from any frontier
-    ⊒ the winning region converges to the same canonical maximal-
-    element frontier a cold start reaches, so verdicts {e and}
-    extracted witness machines are bit-identical to a fresh-session
-    call on the same formula list (the property the watch tests pin).
-    Unrealizability is still certified on the conjunction's own dual
-    game, exactly as {!solve} does. *)
+    per-conjunct automata [NBW(¬fi)], so the game over a requirement
+    conjunction decomposes block-wise.  A {!session} caches per
+    formula id the compiled arena block and, per counting bound, the
+    converged {e solo} winning frontier of that block alone, so after
+    a single-conjunct edit only that conjunct's block is re-compiled
+    and re-solved solo. *)
 
 type session
 (** Mutable cache of compiled blocks and solo frontiers.  Keyed by
@@ -149,24 +87,9 @@ val prune_session : session -> retain:(int -> bool) -> unit
     [retain] — the watch session's explicit invalidation after an
     edit. *)
 
-val solve_conj :
-  ?budget:Speccc_runtime.Budget.t ->
-  ?session:session ->
-  ?bound:int ->
-  ?max_letters:int ->
-  inputs:string list ->
-  outputs:string list ->
-  Speccc_logic.Ltl.t list ->
-  verdict
-(** [solve_conj ~inputs ~outputs formulas] decides the conjunction of
-    [formulas] like [solve (conj formulas)], block-decomposed as
-    described above.  Without [session] a fresh one is used (a cold
-    run — the identity oracle).  Lists of length [<= 1], and runs
-    under the [Enumerate] differential-testing algorithm
-    ({!default_algorithm}), fall through to {!solve} on the plain
-    conjunction. *)
+(** {2 The solver} *)
 
-val solve_conj_iterative :
+val solve :
   ?budget:Speccc_runtime.Budget.t ->
   ?session:session ->
   ?max_bound:int ->
@@ -175,5 +98,42 @@ val solve_conj_iterative :
   outputs:string list ->
   Speccc_logic.Ltl.t list ->
   verdict
-(** {!solve_conj} under the same bound escalation as
-    {!solve_iterative} (1, 2, 4, ... up to [max_bound], default 8). *)
+(** [solve ~inputs ~outputs formulas] decides the conjunction of
+    [formulas] — the one explicit entry point.  The counting bound
+    escalates 1, 2, 4, ... up to [max_bound] (default 8) until a
+    definite verdict; default [max_letters] is [4096] ([= 2^12]
+    combined valuations).
+
+    {b Block decomposition.}  At each bound every formula is a block
+    of the union automaton.  With two or more blocks, each block's
+    solo game is solved first (or taken from [session]); a conjunct
+    lost solo settles the system game, and otherwise the joint
+    fixpoint starts from the meet of the lifted solo frontiers — an
+    upper bound of the joint winning region — instead of ⊤.  A single
+    formula (an assumption implication [A → G], a one-sentence
+    document) is a one-block union started at ⊤ with no solo game:
+    the plain antichain game on [NBW(¬f)].  Seeding is exact, not
+    heuristic: the iteration from any frontier ⊒ the winning region
+    converges to the same canonical maximal-element frontier, so
+    verdicts {e and} extracted witness machines are bit-identical with
+    a warm session, a fresh one, or none.  Unrealizability is
+    certified on the dual game over the automaton of the conjunction
+    itself.
+
+    {b Budgets and snapshots.}  When [budget] is given, fuel is spent
+    (stage ["explicit"]) per fixpoint round, input valuation and
+    extracted witness state, and automaton builds charge the tableau
+    cost whether or not the automaton cache or [session] held them;
+    exhaustion raises [Speccc_runtime.Runtime.Interrupt].  When the
+    budget carries a snapshot slot, every round of the joint system
+    game and of the dual game publishes its frontier (tagged with the
+    bound and game side), and a bound that ends [Unknown] publishes
+    the bare bound.  A run whose slot is armed resumes: past a bare
+    bound, or at a frontier's bound from that frontier.  Resumes are
+    verdict-safe — a loss under a resumed frontier is re-checked from
+    the trusted start (⊤ or the solo seed), so a stale or forged
+    snapshot can cost time, never flip a verdict.  Solo games neither
+    publish nor resume.
+
+    The fault checkpoint ["engine.explicit"] is announced at every
+    bound. *)

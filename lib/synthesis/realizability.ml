@@ -289,20 +289,17 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let spec = spec_of ~assumptions requirements in
   let run_stage stage rung_budget =
-    match stage, explicit_session with
-    | `Symbolic, _ ->
+    match stage with
+    | `Symbolic ->
       run_symbolic ~budget:rung_budget ~lookahead ~inputs ~outputs spec
-    | `Explicit, Some session when assumptions = [] ->
+    | `Explicit ->
       (* With assumptions the spec is an implication, not a plain
-         conjunction — the block decomposition does not apply. *)
+         conjunction: one block. *)
+      let formulas = if assumptions = [] then requirements else [ spec ] in
       explicit_report (fun () ->
-          Bounded.solve_conj_iterative ~budget:rung_budget ~session
-            ~max_bound:bound ~inputs ~outputs requirements)
-    | `Explicit, _ ->
-      explicit_report (fun () ->
-          Bounded.solve_iterative ~budget:rung_budget ~max_bound:bound
-            ~inputs ~outputs spec)
-    | `Sat, _ -> run_sat ~budget:rung_budget ~inputs ~outputs spec
+          Bounded.solve ~budget:rung_budget ?session:explicit_session
+            ~max_bound:bound ~inputs ~outputs formulas)
+    | `Sat -> run_sat ~budget:rung_budget ~inputs ~outputs spec
   in
   let forced = engine <> Auto in
   let stages =

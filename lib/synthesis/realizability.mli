@@ -132,11 +132,13 @@ val check :
     every rung degraded.  Under the hard memory watermark the [Auto]
     ladder collapses to its last rung.
 
-    [explicit_session] routes assumption-free checks on the explicit
-    rung through {!Bounded.solve_conj_iterative}'s session-incremental
-    block decomposition: arena blocks and solo frontiers for unchanged
-    requirement formulas are reused across calls, and verdicts and
-    witnesses are bit-identical to the same call with a fresh session.
+    The explicit rung is one {!Bounded.solve} call: over the
+    requirement list (one block per requirement), or over the single
+    implication when [assumptions] are given.  [explicit_session] only
+    shares that solver's caches across calls — arena blocks and solo
+    frontiers of unchanged requirement formulas; without it each call
+    uses a fresh session.  The verdict and witness are the same with
+    or without it.
 
     [assumptions] are environment hypotheses [A]: the checked formula
     becomes [(∧A) → (∧requirements)], so the system need only comply

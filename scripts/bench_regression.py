@@ -2,8 +2,9 @@
 """Bench-smoke regression gate.
 
 Compares a freshly generated BENCH_speccc.json against a baseline (the
-committed snapshot) and fails when any matching table1 row or localize
-point got more than TOLERANCE times slower.  Only keys present in both
+committed snapshot) and fails when any matching table1 row, localize
+point or edit-latency percentile (incremental, cold session and full
+pipeline) got more than TOLERANCE times slower.  Only keys present in both
 files are compared, so the reduced smoke quota (fewer rows, fewer
 localize sizes) diffs cleanly against a full baseline.
 
@@ -45,7 +46,14 @@ def entries(snapshot):
     for point in snapshot.get("localize", []):
         points[("localize", f"n={point['n']}")] = float(point["seconds"])
     edit = snapshot.get("edit_latency", {})
-    for field in ("incr_p50_ms", "incr_p95_ms", "cold_p50_ms", "cold_p95_ms"):
+    for field in (
+        "incr_p50_ms",
+        "incr_p95_ms",
+        "cold_p50_ms",
+        "cold_p95_ms",
+        "pipeline_p50_ms",
+        "pipeline_p95_ms",
+    ):
         if field in edit:
             # per-edit walls are milliseconds; compare in seconds like
             # every other point so the absolute floor keeps meaning

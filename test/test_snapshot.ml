@@ -225,6 +225,115 @@ let test_forged_snapshot_costs_time_not_soundness () =
   in
   Alcotest.(check bool) "same localization" true (result = cold)
 
+(* ---------- explicit engine: preempt-then-resume drill ---------- *)
+
+(* Three conjuncts whose joint system game needs several rounds from
+   its solo seed, so a fuel budget can run out mid-fixpoint. *)
+let resume_formulas =
+  [ parse "G (i1 -> X o1)"; parse "G (o1 -> X o2)"; parse "G (i2 -> F o2)" ]
+
+let resume_inputs = [ "i1"; "i2" ]
+let resume_outputs = [ "o1"; "o2" ]
+
+let solve_explicit ?budget ?max_bound () =
+  Bounded.solve ?budget ?max_bound ~inputs:resume_inputs
+    ~outputs:resume_outputs resume_formulas
+
+(* Verdict class plus the materialized witness. *)
+let materialize = function
+  | Bounded.Realizable m ->
+    let letters = 1 lsl List.length m.Mealy.inputs in
+    "realizable"
+    :: List.concat
+         (List.init m.Mealy.num_states (fun state ->
+              List.init letters (fun input ->
+                  let output, next = m.Mealy.step state input in
+                  Printf.sprintf "%d.%d->%d.%d" state input output next)))
+    |> String.concat ";"
+  | Bounded.Unrealizable cs ->
+    Printf.sprintf "unrealizable %d" cs.Bounded.cs_num_states
+  | Bounded.Unknown bound -> Printf.sprintf "unknown %d" bound
+
+let verdict_class verdict =
+  List.hd (String.split_on_char ';' (materialize verdict))
+
+(* The smallest fuel at which the run is preempted with a system-game
+   frontier in its slot. *)
+let preempted_mid_gfp () =
+  let rec scan fuel =
+    if fuel > 100_000 then Alcotest.fail "no fuel preempts mid-fixpoint"
+    else
+      let slot = Snapshot.slot () in
+      let budget = Budget.create ~fuel ~snapshot:slot () in
+      match solve_explicit ~budget () with
+      | _ -> Alcotest.fail "ran to completion before any frontier was published"
+      | exception Runtime.Interrupt (Runtime.Fuel_exhausted _) ->
+        (match Snapshot.latest slot with
+         | Some snap
+           when Snapshot.field snap "game" = Some "system"
+                && Snapshot.field snap "frontier" <> None ->
+           (slot, snap)
+         | Some _ | None -> scan (fuel + 1))
+  in
+  scan 1
+
+let resume_from ?max_bound snap =
+  let slot = Snapshot.slot () in
+  Snapshot.set_resume slot (Some snap);
+  let verdict =
+    solve_explicit ~budget:(Budget.create ~snapshot:slot ()) ?max_bound ()
+  in
+  Alcotest.(check bool) "the resume snapshot was read" true
+    (Snapshot.resumed_count slot > 0);
+  verdict
+
+let test_explicit_resume_matches_cold () =
+  let cold_budget = Budget.unlimited () in
+  let cold = materialize (solve_explicit ~budget:cold_budget ()) in
+  let slot, _ = preempted_mid_gfp () in
+  (* the supervisor's retry path: re-arm the slot with what it holds *)
+  Snapshot.rearm slot;
+  let budget = Budget.create ~snapshot:slot () in
+  let resumed = solve_explicit ~budget () in
+  Alcotest.(check bool) "the rearmed frontier was read" true
+    (Snapshot.resumed_count slot > 0);
+  Alcotest.(check string) "resumed = cold, witness included" cold
+    (materialize resumed);
+  Alcotest.(check bool)
+    (Printf.sprintf "resuming skips finished work (%d < %d fuel)"
+       (Budget.spent budget) (Budget.spent cold_budget))
+    true
+    (Budget.spent budget < Budget.spent cold_budget)
+
+(* Same bound, game and shape, contents the system cannot win from.
+   [max_bound] is the snapshot's bound, so escalation cannot mask a
+   forged loss: only the re-check from the trusted start can. *)
+let test_explicit_forged_frontier () =
+  let _, snap = preempted_mid_gfp () in
+  let max_bound = Option.get (Snapshot.int_field snap "bound") in
+  let cold = solve_explicit ~max_bound () in
+  Alcotest.(check string) "decided at the preempted bound" "realizable"
+    (verdict_class cold);
+  let frontier =
+    match
+      Option.bind (Snapshot.field snap "frontier") Snapshot.counts_of_field
+    with
+    | Some frontier -> frontier
+    | None -> Alcotest.fail "published frontier must decode"
+  in
+  let forged frontier =
+    resume_from ~max_bound
+      (Snapshot.with_field snap "frontier" (Snapshot.counts_to_field frontier))
+  in
+  Alcotest.(check string) "bottom: verdict and witness unchanged"
+    (materialize cold)
+    (materialize (forged (List.map (Array.map (fun _ -> -1)) frontier)));
+  Alcotest.(check string) "lowered: verdict unchanged" "realizable"
+    (verdict_class
+       (forged
+          (List.map (Array.map (fun c -> if c > -1 then c - 1 else c))
+             frontier)))
+
 (* ---------- memory watermark degradation ---------- *)
 
 let test_hard_watermark_degrades_ladder () =
@@ -468,7 +577,6 @@ let test_antichain_field_rejects_malformed () =
     (Snapshot.counts_of_field "1,,2" = None)
 
 let () =
-  ignore test_forged_snapshot_costs_time_not_soundness;
   Alcotest.run "snapshot"
     [
       ( "codec",
@@ -496,6 +604,10 @@ let () =
             test_corrupt_snapshot_cold_starts;
           Alcotest.test_case "forged snapshot cannot flip the verdict"
             `Quick test_forged_snapshot_costs_time_not_soundness;
+          Alcotest.test_case "explicit resume = cold run" `Quick
+            test_explicit_resume_matches_cold;
+          Alcotest.test_case "forged explicit frontier cannot flip the verdict"
+            `Quick test_explicit_forged_frontier;
         ] );
       ( "memwatch",
         [

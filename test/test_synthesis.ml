@@ -530,7 +530,7 @@ let prop_satsynth_agrees_with_game_engine =
        let inputs = [ "i1" ] and outputs = [ "o1"; "o2" ] in
        let spec = Ltl.conj_list requirements in
        let game_verdict =
-         match Bounded.solve_iterative ~inputs ~outputs spec with
+         match Bounded.solve ~inputs ~outputs [ spec ] with
          | Bounded.Realizable _ -> `Yes
          | Bounded.Unrealizable _ -> `No
          | Bounded.Unknown _ -> `Maybe
@@ -753,9 +753,9 @@ let same_counterstrategy a b =
        (List.init a.Bounded.cs_num_states Fun.id)
 
 (* The antichain solver is not an approximation: on every specification
-   it must reproduce the enumerative engine's verdict bit-for-bit,
-   including the extracted witness machine (both extractions use the
-   same first-winning-move preference). *)
+   its one-block run must reproduce the enumerative reference oracle's
+   verdict bit-for-bit, including the extracted witness machine (both
+   extractions use the same first-winning-move preference). *)
 let prop_antichain_matches_enumerative =
   QCheck2.Test.make ~count:40
     ~name:"antichain and enumerative explicit engines produce identical \
@@ -764,10 +764,10 @@ let prop_antichain_matches_enumerative =
     (fun requirements ->
        let inputs = [ "i1"; "i2" ] and outputs = [ "o1"; "o2" ] in
        let spec = Ltl.conj_list requirements in
-       let run algorithm =
-         Bounded.solve_iterative ~algorithm ~inputs ~outputs spec
-       in
-       match (run Bounded.Antichain, run Bounded.Enumerate) with
+       match
+         ( Bounded.solve ~inputs ~outputs [ spec ],
+           Enumerative.solve ~inputs ~outputs spec )
+       with
        | Bounded.Realizable a, Bounded.Realizable e -> same_mealy a e
        | Bounded.Unrealizable a, Bounded.Unrealizable e ->
          same_counterstrategy a e

@@ -208,8 +208,7 @@ let test_gcd_preserves_realizability () =
   let check_pair original reduced =
     let verdict spec =
       match
-        Bounded.solve_iterative ~inputs:[ "i" ] ~outputs:[ "o" ]
-          (parse spec)
+        Bounded.solve ~inputs:[ "i" ] ~outputs:[ "o" ] [ parse spec ]
       with
       | Bounded.Realizable _ -> `Yes
       | Bounded.Unrealizable _ -> `No

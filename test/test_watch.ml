@@ -127,9 +127,8 @@ let test_edit_then_revert_is_noop () =
     after.Watch.reuse.Watch.verdict_cached
 
 let test_assumptions_take_the_stock_path () =
-  (* Assumption-carrying documents cannot use the session's block
-     decomposition (the spec is an implication); the session must
-     still answer, identically to cold. *)
+  (* An assumption-carrying document is checked as one implication, a
+     single block; the session must answer identically to cold. *)
   let doc =
     Document.parse
       "Assume-1: The lock is inactive or the request is lost.\n\
@@ -154,6 +153,53 @@ let test_governed_sessions_fall_back () =
   Alcotest.(check bool) "no engine reuse on the fallback path" true
     (not live.Watch.reuse.Watch.verdict_cached
      && live.Watch.reuse.Watch.blocks_reused = 0)
+
+(* --- cross-entry witness identity --- *)
+
+(* The 14-sentence live document of the edit-latency bench. *)
+let live_document () =
+  doc_of
+    [
+      ("R1", "If the button is pressed, the pump is started.");
+      ("R2", "If the occlusion is present, the alarm is triggered.");
+      ("R3", "If the pressure is high, the valve is opened.");
+      ("R4", "If the signal is low, the monitor is enabled.");
+      ("R5", "If the button is pressed, the monitor is enabled.");
+      ("R6", "If the occlusion is present, the valve is opened.");
+      ("R7", "If the pressure is high, the alarm is triggered.");
+      ("R8", "If the signal is low, the pump is started.");
+      ("R9", "If the button is pressed, the alarm is triggered.");
+      ("R10", "If the occlusion is present, the pump is started.");
+      ("R11", "If the pressure is high, the monitor is enabled.");
+      ("R12", "If the signal is low, the valve is opened.");
+      ("R13", "When the pump is started, eventually the cuff is inflated.");
+      ("R14", "When the valve is opened, eventually the cuff is inflated.");
+    ]
+
+(* With the explicit engine, a document checked through the full
+   pipeline and through a cold watch session must carry the same
+   verdict, engine and witness: the fingerprint of the cold record is
+   unchanged when its outcome is swapped for [Pipeline.run_document]'s. *)
+let test_pipeline_equals_cold_watch () =
+  let spec_dir = "../examples/specs" in
+  let spec_docs =
+    Sys.readdir spec_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".spec")
+    |> List.sort compare
+    |> List.map (fun f ->
+        (f, Document.of_file (Filename.concat spec_dir f)))
+  in
+  Alcotest.(check bool) "example specs found" true (spec_docs <> []);
+  List.iter
+    (fun (name, doc) ->
+       let cold = Watch.check_cold ~options:explicit_options doc in
+       let piped =
+         { cold with
+           Watch.outcome = Pipeline.run_document ~options:explicit_options doc }
+       in
+       Alcotest.(check string) (name ^ ": pipeline = cold watch")
+         (Watch.fingerprint cold) (Watch.fingerprint piped))
+    (spec_docs @ [ ("live document", live_document ()) ])
 
 (* --- randomized drills --- *)
 
@@ -225,10 +271,11 @@ let prop_random_edit_sequences =
          ops;
        true)
 
-(* Warm-session [solve_conj] must be bit-identical to a fresh run, and
-   must agree with the stock conjunction solver whenever both are
-   definite (both are exact then; only Unknown boundaries may differ
-   between the union-automaton and conjunction-automaton games). *)
+(* A block-decomposed [Bounded.solve] with a warm session must be
+   bit-identical to a fresh run, and must agree with the stock one-block
+   run on the whole conjunction whenever both are definite (both are
+   exact then; only Unknown boundaries may differ between the
+   union-automaton and conjunction-automaton games). *)
 let formula_pool =
   [|
     "G (i1 -> o1)";
@@ -279,15 +326,13 @@ let prop_solve_conj_warm_equals_fresh =
          List.map (fun i -> Ltl_parse.formula formula_pool.(i)) picks
        in
        let inputs = [ "i1"; "i2" ] and outputs = [ "o1"; "o2" ] in
-       let warm =
-         Bounded.solve_conj ~session ~inputs ~outputs formulas
-       in
-       let fresh = Bounded.solve_conj ~inputs ~outputs formulas in
+       let warm = Bounded.solve ~session ~inputs ~outputs formulas in
+       let fresh = Bounded.solve ~inputs ~outputs formulas in
        if materialize warm <> materialize fresh then
          QCheck2.Test.fail_reportf "warm %s <> fresh %s" (materialize warm)
            (materialize fresh);
        let stock =
-         Bounded.solve ~inputs ~outputs (Ltl.conj_list formulas)
+         Bounded.solve ~inputs ~outputs [ Ltl.conj_list formulas ]
        in
        (match (warm, stock) with
         | Bounded.Realizable _, Bounded.Unrealizable _
@@ -311,6 +356,8 @@ let () =
             test_assumptions_take_the_stock_path;
           Alcotest.test_case "governed sessions fall back" `Quick
             test_governed_sessions_fall_back;
+          Alcotest.test_case "pipeline = cold watch" `Quick
+            test_pipeline_equals_cold_watch;
         ] );
       ( "random",
         [
