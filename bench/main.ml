@@ -10,10 +10,10 @@
      dune exec bench/main.exe localize     -- localization scaling
 
    Timing methodology: each Table I row is a Bechamel [Test.make]
-   measuring the stage-2 realizability check (the quantity the paper's
-   "time(s)" column reports); absolute numbers are machine-dependent —
-   the reproduction targets the *shape* (which rows are slow, who is
-   consistent). *)
+   measuring the stage-2 realizability check without a witness (the
+   quantity the paper's "time(s)" column reports); absolute numbers
+   are machine-dependent — the reproduction targets the *shape* (which
+   rows are slow, who is consistent). *)
 
 open Bechamel
 open Speccc_logic
@@ -67,8 +67,10 @@ let prepare_row row =
   | Table1.Formulas (formulas, inputs, outputs) ->
     { row; formulas; partition = { Partition.inputs; outputs } }
 
-let check_prepared prepared =
-  Realizability.check ~engine:Realizability.Symbolic
+(* [speccc check] asks for no witness; [~witness:true] adds the
+   controller extraction that synth, testgen and --certify pay for. *)
+let check_prepared ?witness prepared =
+  Realizability.check ~engine:Realizability.Symbolic ?witness
     ~inputs:prepared.partition.Partition.inputs
     ~outputs:prepared.partition.Partition.outputs prepared.formulas
 
@@ -589,8 +591,9 @@ let edit_latency_bench () =
 (* ---------- json trajectory output ----------
 
    Machine-readable perf snapshot for tracking the trajectory across
-   PRs: localize scaling walls, single-shot Table I row walls, and the
-   memoization counters accumulated while producing them.  Set
+   PRs: localize scaling walls, single-shot Table I row walls (the
+   check as [speccc check] runs it, and again with the witness), and
+   the memoization counters accumulated while producing them.  Set
    SPECCC_BENCH_SMOKE=1 (as CI does) for a reduced quota. *)
 
 let json_escape s =
@@ -635,13 +638,20 @@ let bench_json () =
       (fun row ->
          let p = prepare_row row in
          let name = row.Table1.group ^ ":" ^ row.Table1.row_id in
-         let t0 = Unix.gettimeofday () in
-         let report = check_prepared p in
-         let seconds = Unix.gettimeofday () -. t0 in
-         Format.printf "table1 %-12s %8.4fs %s@." name seconds
+         let timed witness =
+           let t0 = Unix.gettimeofday () in
+           let report = check_prepared ~witness p in
+           (report, Unix.gettimeofday () -. t0)
+         in
+         let report, seconds = timed false in
+         let _, witness_seconds = timed true in
+         Format.printf "table1 %-12s %8.4fs (witness %8.4fs) %s@." name
+           seconds witness_seconds
            (verdict_string report.Realizability.verdict);
-         Printf.sprintf "{\"row\":\"%s\",\"seconds\":%.4f,\"verdict\":\"%s\"}"
-           (json_escape name) seconds
+         Printf.sprintf
+           "{\"row\":\"%s\",\"seconds\":%.4f,\"witness_seconds\":%.4f,\
+            \"verdict\":\"%s\"}"
+           (json_escape name) seconds witness_seconds
            (json_escape (verdict_string report.Realizability.verdict)))
       rows
   in

@@ -994,7 +994,12 @@ let synth_cmd =
 let testgen_cmd =
   let run source engine lookahead time_budget =
     let texts = load_spec source in
-    let options = options_of ~engine ~lookahead ~time_budget () in
+    (* the suite is generated from the witness, so ask for it as synth
+       does *)
+    let options =
+      { (options_of ~engine ~lookahead ~time_budget ()) with
+        Pipeline.certify = true }
+    in
     let outcome = Pipeline.run ~options texts in
     match outcome.Pipeline.report.Realizability.controller with
     | None ->
@@ -1116,7 +1121,12 @@ let report_cmd =
   in
   let run source engine lookahead time_budget output =
     let document = load_document source in
-    let options = options_of ~engine ~lookahead ~time_budget () in
+    (* the verdict section prints the controller's size, so ask for the
+       witness as synth does *)
+    let options =
+      { (options_of ~engine ~lookahead ~time_budget ()) with
+        Pipeline.certify = true }
+    in
     let outcome = Pipeline.run_document ~options document in
     let buffer = Buffer.create 8192 in
     let add fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
@@ -1204,6 +1214,8 @@ let report_cmd =
     (match outcome.Pipeline.report.Realizability.verdict with
      | Realizability.Consistent -> ()
      | Realizability.Inconsistent | Realizability.Inconclusive _ ->
+       (* subset checks never read a witness *)
+       let options = { options with Pipeline.certify = false } in
        let check_subset formulas =
          let _, r = Pipeline.check_formulas ~options formulas in
          r.Realizability.verdict = Realizability.Consistent

@@ -19,7 +19,7 @@ let () =
     scenario.Robot.formulas;
 
   let report =
-    Realizability.check ~engine:Realizability.Symbolic
+    Realizability.check ~engine:Realizability.Symbolic ~witness:true
       ~inputs:scenario.Robot.inputs ~outputs:scenario.Robot.outputs
       scenario.Robot.formulas
   in

@@ -43,14 +43,14 @@ let poll budget ~stage =
   | Some _ | None -> ()
 
 let checkpoint budget ~stage =
-  budget.steps <- budget.steps + 1;
+  (* A refused step is not spent: a budget never reports more steps
+     than the fuel it was given. *)
   if not budget.infinite then begin
-    budget.fuel <- budget.fuel - 1;
-    if budget.fuel < 0 then begin
-      budget.fuel <- 0;
-      raise (Runtime.Interrupt (Runtime.Fuel_exhausted stage))
-    end
+    if budget.fuel <= 0 then
+      raise (Runtime.Interrupt (Runtime.Fuel_exhausted stage));
+    budget.fuel <- budget.fuel - 1
   end;
+  budget.steps <- budget.steps + 1;
   budget.until_poll <- budget.until_poll - 1;
   if budget.until_poll <= 0 then poll budget ~stage
 

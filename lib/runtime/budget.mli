@@ -49,7 +49,8 @@ val exhausted : t -> bool
 
 val checkpoint : t -> stage:string -> unit
 (** Spend one step.  Raises [Runtime.Interrupt (Fuel_exhausted stage)]
-    when the fuel is gone, and — on poll steps —
+    when the fuel is gone (the refused step is not counted, so [spent]
+    never exceeds the fuel given), and — on poll steps —
     [Runtime.Interrupt (Timeout stage)] past the deadline or
     [Runtime.Interrupt (Cancelled stage)] on a triggered token. *)
 

@@ -186,9 +186,17 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
      (outputs and next-state bits); eliminating top-down keeps
      independent requirement clusters factored instead of building one
      monolithic relation. *)
+  (* The bucket is picked by variable index, the order the elimination
+     loop below walks.  [Bdd.support] lists variables by level, which a
+     reorder decouples from the index: placing by the deepest level
+     would keep a conjunct out of the bucket of a variable it still
+     mentions, that variable would never be quantified, and the
+     fixpoint would converge on a region no strategy can stay in. *)
   let top_quantifiable bdd =
     List.fold_left
-      (fun acc v -> if is_quantifiable v then Some v else acc)
+      (fun acc v ->
+         if not (is_quantifiable v) then acc
+         else match acc with Some u when u > v -> acc | _ -> Some v)
       None (Bdd.support manager bdd)
   in
   let cpre conjuncts w =

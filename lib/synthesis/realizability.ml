@@ -114,7 +114,7 @@ let explicit_report solve =
     degradation = [];
   }
 
-let run_symbolic ?budget ~lookahead ~inputs ~outputs spec =
+let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
   let had_liveness = Classify.has_liveness spec in
   let max_bound = 4 * lookahead in
   let solve_at ~completed bound =
@@ -174,10 +174,15 @@ let run_symbolic ?budget ~lookahead ~inputs ~outputs spec =
   in
   match result with
   | Ok (strategy, bound) ->
+    (* Enumerating and minimizing the strategy costs far more than
+       solving the game on wide alphabets, and only witness readers
+       need the machine. *)
     let controller =
-      Option.map
-        (fun machine -> emit_controller (Minimize.minimize machine))
-        (Obligation.to_mealy strategy)
+      if not witness then None
+      else
+        Option.map
+          (fun machine -> emit_controller (Minimize.minimize machine))
+          (Obligation.to_mealy strategy)
     in
     {
       verdict = Consistent;
@@ -291,7 +296,8 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
   let run_stage stage rung_budget =
     match stage with
     | `Symbolic ->
-      run_symbolic ~budget:rung_budget ~lookahead ~inputs ~outputs spec
+      run_symbolic ~budget:rung_budget ~witness ~lookahead ~inputs ~outputs
+        spec
     | `Explicit ->
       (* With assumptions the spec is an implication, not a plain
          conjunction: one block. *)

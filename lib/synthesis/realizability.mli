@@ -115,13 +115,21 @@ val check :
     an unlimited budget.  Under a finite budget every rung but the
     last gets half of the remaining fuel (the last gets all of it).
 
-    {b Witnesses.}  A symbolic [Inconsistent] carries no
-    counterstrategy.  With [witness] set (default [false]) the ladder
-    then continues to the explicit rung, when it is still in the
-    ladder, and returns its counterstrategy-carrying report; if that
-    rung cannot produce one, the symbolic report stands.  Callers that
-    never read the witness (subset checks, uncertified requests) leave
-    [witness] unset and do not pay for the explicit dual game.
+    {b Witnesses.}  [witness] (default [false]) says the caller reads
+    the witness.  Unset, a symbolic [Consistent] carries no
+    controller: enumerating and minimizing the strategy's Mealy
+    machine costs far more than solving the game on wide alphabets,
+    and the verdict, engine, [detail] and degradation log are the same
+    either way.  Set, the symbolic rung extracts its controller (when
+    the inputs fit {!Obligation.to_mealy}), and a symbolic
+    [Inconsistent], which carries no counterstrategy, continues to the
+    explicit rung when it is still in the ladder and returns its
+    counterstrategy-carrying report; if that rung cannot produce one,
+    the symbolic report stands.  The explicit and SAT rungs always
+    carry their witnesses, which come out of the solve itself.
+    Callers that never read the witness (subset checks, uncertified
+    requests) leave [witness] unset and pay for neither the controller
+    extraction nor the explicit dual game.
 
     [skip] (rung names, e.g. [["symbolic"]]) removes rungs from the
     [Auto] ladder before it runs — the serve mode's circuit breakers

@@ -2,11 +2,13 @@
 """Bench-smoke regression gate.
 
 Compares a freshly generated BENCH_speccc.json against a baseline (the
-committed snapshot) and fails when any matching table1 row, localize
-point or edit-latency percentile (incremental, cold session and full
-pipeline) got more than TOLERANCE times slower.  Only keys present in both
-files are compared, so the reduced smoke quota (fewer rows, fewer
-localize sizes) diffs cleanly against a full baseline.
+committed snapshot) and fails when any matching table1 row (the plain
+check and, as table1_witness, the check that also extracts the
+controller), localize point or edit-latency percentile (incremental,
+cold session and full pipeline) got more than TOLERANCE times slower.
+Only keys present in both files are compared, so the reduced smoke
+quota (fewer rows, fewer localize sizes) diffs cleanly against a full
+baseline.
 
 Environment:
   SPECCC_BENCH_TOLERANCE  slowdown factor that fails the gate
@@ -43,6 +45,10 @@ def entries(snapshot):
     points = {}
     for row in snapshot.get("table1", []):
         points[("table1", row["row"])] = float(row["seconds"])
+        if "witness_seconds" in row:
+            points[("table1_witness", row["row"])] = float(
+                row["witness_seconds"]
+            )
     for point in snapshot.get("localize", []):
         points[("localize", f"n={point['n']}")] = float(point["seconds"])
     edit = snapshot.get("edit_latency", {})

@@ -40,7 +40,9 @@ let certify_rungs report =
 (* ---------- the happy paths ---------- *)
 
 let test_certifies_controller () =
-  let report = Realizability.check ~inputs ~outputs realizable_spec in
+  let report =
+    Realizability.check ~witness:true ~inputs ~outputs realizable_spec
+  in
   let report', outcome =
     Certify.apply ~assumptions:[] realizable_spec report
   in
@@ -100,7 +102,9 @@ let test_certifies_unsat_core () =
 let test_corrupted_controller_downgrades () =
   with_faults [ corrupt_at Fault.Checkpoint.witness_controller ]
     (fun () ->
-       let report = Realizability.check ~inputs ~outputs realizable_spec in
+       let report =
+         Realizability.check ~witness:true ~inputs ~outputs realizable_spec
+       in
        let report', outcome =
          Certify.apply ~assumptions:[] realizable_spec report
        in

@@ -36,6 +36,32 @@ let test_pipeline_consistent_spec () =
   Alcotest.(check (list string)) "pump is the input" [ "pump" ]
     outcome.Pipeline.partition.Partition.partition.Partition.inputs
 
+(* The symbolic rung builds its controller only for a caller that
+   reads it: a default check carries none, a certified one carries a
+   controller that replays against the spec. *)
+let test_pipeline_witness_on_demand () =
+  let document = Document.of_file "../examples/specs/pump_control.spec" in
+  let plain = Pipeline.run_document document in
+  Alcotest.(check string) "symbolic rung answered" "symbolic"
+    plain.Pipeline.report.Realizability.engine_used;
+  Alcotest.(check bool) "consistent" true (is_consistent plain.Pipeline.report);
+  Alcotest.(check bool) "no controller without a witness reader" true
+    (plain.Pipeline.report.Realizability.controller = None);
+  let certified =
+    Pipeline.run_document
+      ~options:{ (Pipeline.default_options ()) with Pipeline.certify = true }
+      document
+  in
+  Alcotest.(check bool) "certified check carries a controller" true
+    (certified.Pipeline.report.Realizability.controller <> None);
+  match certified.Pipeline.certificate with
+  | Some (Speccc_certify.Certify.Certified _) -> ()
+  | Some outcome ->
+    Alcotest.fail
+      (Format.asprintf "not certified: %a" Speccc_certify.Certify.pp_outcome
+         outcome)
+  | None -> Alcotest.fail "certificate missing"
+
 let test_pipeline_applies_time_abstraction () =
   let outcome =
     Pipeline.run ~options:symbolic_options
@@ -477,6 +503,8 @@ let () =
             test_pipeline_applies_time_abstraction;
           Alcotest.test_case "detects inconsistency" `Quick
             test_pipeline_detects_inconsistency;
+          Alcotest.test_case "witness on demand" `Quick
+            test_pipeline_witness_on_demand;
         ] );
       ( "localize",
         [

@@ -24,9 +24,10 @@ let test_fuel_exhaustion () =
   for _ = 1 to 10 do Budget.checkpoint budget ~stage:"s" done;
   Alcotest.(check int) "spent" 10 (Budget.spent budget);
   Alcotest.(check bool) "exhausted" true (Budget.exhausted budget);
-  match Budget.checkpoint budget ~stage:"s" with
-  | () -> Alcotest.fail "11th step must raise"
-  | exception Runtime.Interrupt (Runtime.Fuel_exhausted "s") -> ()
+  (match Budget.checkpoint budget ~stage:"s" with
+   | () -> Alcotest.fail "11th step must raise"
+   | exception Runtime.Interrupt (Runtime.Fuel_exhausted "s") -> ());
+  Alcotest.(check int) "a refused step is not spent" 10 (Budget.spent budget)
 
 let test_poll_interval_bound () =
   (* A deadline in the past must be noticed within max_poll_interval

@@ -16,8 +16,8 @@ let explicit ~inputs ~outputs text =
     [ parse text ]
 
 let symbolic ~inputs ~outputs text =
-  Realizability.check ~engine:Realizability.Symbolic ~inputs ~outputs
-    [ parse text ]
+  Realizability.check ~engine:Realizability.Symbolic ~witness:true ~inputs
+    ~outputs [ parse text ]
 
 let is_consistent report =
   match report.Realizability.verdict with
@@ -165,6 +165,36 @@ let test_symbolic_many_props () =
       requirements
   in
   Alcotest.(check bool) "16-prop spec realizable" true (is_consistent report)
+
+let test_symbolic_sound_after_reorder () =
+  (* A node threshold of 1 sifts the BDD order at the first round
+     boundary.  The controllable predecessor must quantify the same
+     variables whatever the order: when it did not, this three-robot
+     scenario converged on a region the strategy cannot stay in, and
+     extraction failed a few steps in. *)
+  let scenario = Speccc_casestudies.Robot.scenario ~robots:3 ~rooms:3 in
+  let previous = Sys.getenv_opt "SPECCC_BDD_REORDER" in
+  Unix.putenv "SPECCC_BDD_REORDER" "1";
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        (* 150000 is the documented default threshold *)
+        Unix.putenv "SPECCC_BDD_REORDER"
+          (Option.value previous ~default:"150000"))
+      (fun () ->
+         Realizability.check ~engine:Realizability.Symbolic ~witness:true
+           ~inputs:scenario.Speccc_casestudies.Robot.inputs
+           ~outputs:scenario.Speccc_casestudies.Robot.outputs
+           scenario.Speccc_casestudies.Robot.formulas)
+  in
+  Alcotest.(check bool) "realizable" true (is_consistent report);
+  match report.Realizability.controller with
+  | None -> Alcotest.fail "consistent verdict must carry a controller"
+  | Some machine ->
+    Alcotest.(check bool) "controller satisfies the spec (sampled)" true
+      (Mealy.satisfies machine
+         (Ltl.conj_list scenario.Speccc_casestudies.Robot.formulas)
+         ~trials:20 ~seed:42)
 
 (* --- engine agreement on the translator fragment --- *)
 
@@ -392,8 +422,8 @@ let prop_symbolic_controllers_verify =
     (fun requirements ->
        let inputs = [ "i1"; "i2" ] and outputs = [ "o1"; "o2" ] in
        let report =
-         Realizability.check ~engine:Realizability.Symbolic ~inputs ~outputs
-           requirements
+         Realizability.check ~engine:Realizability.Symbolic ~witness:true
+           ~inputs ~outputs requirements
        in
        match (report.Realizability.verdict, report.Realizability.controller) with
        | Realizability.Consistent, Some machine ->
@@ -403,7 +433,53 @@ let prop_symbolic_controllers_verify =
          List.for_all
            (fun f -> Verify.check machine f = Verify.Holds)
            requirements
+       | Realizability.Consistent, None ->
+         (* two inputs are well inside to_mealy's 20-input gate *)
+         false
        | _ -> true)
+
+(* --- witness on demand --- *)
+
+(* [~witness] changes what a report carries, never what it claims.
+   The one exception is documented: an [Auto] ladder asked for a
+   witness continues past a symbolic refutation to the explicit rung
+   for a counterstrategy, so there only the verdict must agree. *)
+let prop_witness_flag_keeps_verdict =
+  QCheck2.Test.make ~count:40
+    ~name:"witness flag keeps verdict, engine, detail and degradation"
+    fragment_gen
+    (fun requirements ->
+       let inputs = [ "i1"; "i2" ] and outputs = [ "o1"; "o2" ] in
+       let claims report =
+         ( report.Realizability.verdict,
+           report.Realizability.engine_used,
+           report.Realizability.detail,
+           List.map
+             (fun rung -> { rung with Realizability.rung_wall = 0. })
+             (Realizability.canonical_degradation report) )
+       in
+       List.for_all
+         (fun engine ->
+            let run witness =
+              Realizability.check ~engine ~witness ~inputs ~outputs
+                requirements
+            in
+            let plain = run false and witnessed = run true in
+            let symbolic_refutation =
+              plain.Realizability.verdict = Realizability.Inconsistent
+              && plain.Realizability.engine_used = "symbolic"
+            in
+            let agree =
+              if engine = Realizability.Auto && symbolic_refutation then
+                plain.Realizability.verdict = witnessed.Realizability.verdict
+              else claims plain = claims witnessed
+            in
+            let no_machine =
+              plain.Realizability.engine_used <> "symbolic"
+              || plain.Realizability.controller = None
+            in
+            agree && no_machine)
+         [ Realizability.Auto; Realizability.Symbolic ])
 
 (* --- test-case generation --- *)
 
@@ -809,6 +885,8 @@ let () =
             test_symbolic_lookahead_escalation;
           Alcotest.test_case "16 propositions" `Quick
             test_symbolic_many_props;
+          Alcotest.test_case "sound after reorder" `Quick
+            test_symbolic_sound_after_reorder;
         ] );
       ( "agreement",
         [
@@ -835,6 +913,8 @@ let () =
         ] );
       ( "symbolic-verify",
         [ QCheck_alcotest.to_alcotest prop_symbolic_controllers_verify ] );
+      ( "witness",
+        [ QCheck_alcotest.to_alcotest prop_witness_flag_keeps_verdict ] );
       ( "testgen",
         [
           Alcotest.test_case "coverage" `Quick test_testgen_full_coverage;
