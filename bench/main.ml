@@ -596,18 +596,14 @@ let edit_latency_bench () =
    the memoization counters accumulated while producing them.  Set
    SPECCC_BENCH_SMOKE=1 (as CI does) for a reduced quota. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Jsonl = Speccc_json.Jsonl
+
+(* numbers keep the fixed precision of the human-readable report *)
+let fixed digits x =
+  let scale = 10. ** float_of_int digits in
+  Jsonl.Num (Float.round (x *. scale) /. scale)
+
+let int n = Jsonl.Num (float_of_int n)
 
 let bench_json () =
   let smoke = Sys.getenv_opt "SPECCC_BENCH_SMOKE" <> None in
@@ -622,9 +618,9 @@ let bench_json () =
          | Some (culprit, partners, seconds) ->
            Format.printf "localize n=%-3d %8.4fs@." n seconds;
            Some
-             (Printf.sprintf
-                "{\"n\":%d,\"seconds\":%.4f,\"culprit\":%d,\"partners\":%d}"
-                n seconds culprit partners)
+             (Jsonl.Obj
+                [ ("n", int n); ("seconds", fixed 4 seconds);
+                  ("culprit", int culprit); ("partners", int partners) ])
          | None -> None)
       sizes
   in
@@ -645,14 +641,13 @@ let bench_json () =
          in
          let report, seconds = timed false in
          let _, witness_seconds = timed true in
+         let verdict = verdict_string report.Realizability.verdict in
          Format.printf "table1 %-12s %8.4fs (witness %8.4fs) %s@." name
-           seconds witness_seconds
-           (verdict_string report.Realizability.verdict);
-         Printf.sprintf
-           "{\"row\":\"%s\",\"seconds\":%.4f,\"witness_seconds\":%.4f,\
-            \"verdict\":\"%s\"}"
-           (json_escape name) seconds witness_seconds
-           (json_escape (verdict_string report.Realizability.verdict)))
+           seconds witness_seconds verdict;
+         Jsonl.Obj
+           [ ("row", Jsonl.Str name); ("seconds", fixed 4 seconds);
+             ("witness_seconds", fixed 4 witness_seconds);
+             ("verdict", Jsonl.Str verdict) ])
       rows
   in
   let edit_rows = edit_latency_rows ~smoke in
@@ -662,55 +657,50 @@ let bench_json () =
        Format.printf "edit %-5s incr %8.3fms  cold %8.3fms  pipeline %8.3fms@."
          id (incr *. 1000.) (cold *. 1000.) (pipeline *. 1000.))
     edit_rows;
+  let ms seconds = fixed 4 (seconds *. 1000.) in
   let edit_entries =
     List.map
       (fun (id, incr, cold, pipeline) ->
-         Printf.sprintf
-           "{\"id\":\"%s\",\"incr_ms\":%.4f,\"cold_ms\":%.4f,\
-            \"pipeline_ms\":%.4f}"
-           (json_escape id) (incr *. 1000.) (cold *. 1000.)
-           (pipeline *. 1000.))
+         Jsonl.Obj
+           [ ("id", Jsonl.Str id); ("incr_ms", ms incr); ("cold_ms", ms cold);
+             ("pipeline_ms", ms pipeline) ])
       edit_rows
   in
   let edit_summary =
-    Printf.sprintf
-      "\"sentences\":%d,\"edits\":[%s],\"incr_p50_ms\":%.4f,\
-       \"incr_p95_ms\":%.4f,\"cold_p50_ms\":%.4f,\"cold_p95_ms\":%.4f,\
-       \"pipeline_p50_ms\":%.4f,\"pipeline_p95_ms\":%.4f,\
-       \"speedup_vs_cold_p95\":%.2f,\"speedup_vs_pipeline_p95\":%.2f"
-      (List.length live_document_items)
-      (String.concat "," edit_entries)
-      (i50 *. 1000.) (i95 *. 1000.) (c50 *. 1000.) (c95 *. 1000.)
-      (p50 *. 1000.) (p95 *. 1000.)
-      (c95 /. i95) (p95 /. i95)
+    Jsonl.Obj
+      [ ("sentences", int (List.length live_document_items));
+        ("edits", Jsonl.Arr edit_entries);
+        ("incr_p50_ms", ms i50); ("incr_p95_ms", ms i95);
+        ("cold_p50_ms", ms c50); ("cold_p95_ms", ms c95);
+        ("pipeline_p50_ms", ms p50); ("pipeline_p95_ms", ms p95);
+        ("speedup_vs_cold_p95", fixed 2 (c95 /. i95));
+        ("speedup_vs_pipeline_p95", fixed 2 (p95 /. i95)) ]
   in
   let cache_entries =
     List.map
-      (fun s ->
-         Printf.sprintf
-           "{\"name\":\"%s\",\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
-            \"size\":%d,\"capacity\":%d}"
-           (json_escape s.Speccc_cache.Cache.name)
-           s.Speccc_cache.Cache.hits s.Speccc_cache.Cache.misses
-           s.Speccc_cache.Cache.evictions s.Speccc_cache.Cache.size
-           s.Speccc_cache.Cache.capacity)
+      (fun (s : Speccc_cache.Cache.stats) ->
+         Jsonl.Obj
+           [ ("name", Jsonl.Str s.name); ("hits", int s.hits);
+             ("misses", int s.misses); ("evictions", int s.evictions);
+             ("size", int s.size); ("capacity", int s.capacity) ])
       (Speccc_cache.Cache.stats ())
   in
   let h = Ltl.hashcons_stats () in
+  let snapshot =
+    Jsonl.Obj
+      [ ("schema", Jsonl.Str "speccc-bench-v1"); ("smoke", Jsonl.Bool smoke);
+        ("localize", Jsonl.Arr localize_entries);
+        ("table1", Jsonl.Arr table1_entries);
+        ("edit_latency", edit_summary);
+        ("caches", Jsonl.Arr cache_entries);
+        ( "hashcons",
+          Jsonl.Obj
+            [ ("nodes", int h.Ltl.nodes); ("hits", int h.Ltl.hc_hits);
+              ("misses", int h.Ltl.hc_misses) ] ) ]
+  in
   let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"speccc-bench-v1\",\"smoke\":%b,\n\
-     \"localize\":[%s],\n\
-     \"table1\":[%s],\n\
-     \"edit_latency\":{%s},\n\
-     \"caches\":[%s],\n\
-     \"hashcons\":{\"nodes\":%d,\"hits\":%d,\"misses\":%d}}\n"
-    smoke
-    (String.concat "," localize_entries)
-    (String.concat "," table1_entries)
-    edit_summary
-    (String.concat "," cache_entries)
-    h.Ltl.nodes h.Ltl.hc_hits h.Ltl.hc_misses;
+  output_string oc (Jsonl.to_string snapshot);
+  output_char oc '\n';
   close_out oc;
   Format.printf "wrote %s@." path
 

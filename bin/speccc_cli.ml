@@ -1665,7 +1665,7 @@ let chaos_cmd =
    fixpoints, localization memoization — lives in
    [Speccc_core.Watch]. *)
 let watch_cmd =
-  let module J = Speccc_server.Jsonl in
+  let module J = Speccc_json.Jsonl in
   let poll_arg =
     Arg.(value & opt float 0.5
          & info [ "poll" ]

@@ -100,7 +100,7 @@ let run_perturbed ?binary ~schedule (w : Workload.t) =
     | Some journal when Sys.file_exists journal ->
         Harness.journal_read ~on_corrupt:(fun _ _ -> ()) journal
         |> List.filter (fun (_, r) ->
-               Workload.definite (Workload.verdict_name r.Harness.verdict))
+               Workload.definite (Harness.verdict_tag r.Harness.verdict))
         |> List.length
     | _ -> 0
   in
@@ -242,7 +242,7 @@ let check_durability ~(w : Workload.t) ~clean ~run =
         List.filter_map
           (fun (key, verdict) ->
              match Store.find store key with
-             | Some r when Workload.verdict_name r.Harness.verdict = verdict ->
+             | Some r when Harness.verdict_tag r.Harness.verdict = verdict ->
                  None
              | Some r ->
                  Some
@@ -251,7 +251,7 @@ let check_durability ~(w : Workload.t) ~clean ~run =
                      detail =
                        Printf.sprintf
                          "acked store write changed verdict: %s -> %s" verdict
-                         (Workload.verdict_name r.Harness.verdict);
+                         (Harness.verdict_tag r.Harness.verdict);
                    }
              | None ->
                  Some
@@ -269,14 +269,14 @@ let check_durability ~(w : Workload.t) ~clean ~run =
                  let key = Store.key ~salt (Document.parse text) in
                  match Store.find store key with
                  | Some r
-                   when Workload.verdict_name r.Harness.verdict <> clean_verdict
+                   when Harness.verdict_tag r.Harness.verdict <> clean_verdict
                    ->
                      Some
                        {
                          invariant = "durability";
                          detail =
                            Printf.sprintf "store holds %s for %s (clean: %s)"
-                             (Workload.verdict_name r.Harness.verdict)
+                             (Harness.verdict_tag r.Harness.verdict)
                              name clean_verdict;
                        }
                  | _ -> None)

@@ -11,7 +11,7 @@ module Document = Speccc_core.Document
 module Pipeline = Speccc_core.Pipeline
 module Harness = Speccc_harness.Harness
 module Server = Speccc_server.Server
-module Jsonl = Speccc_server.Jsonl
+module Jsonl = Speccc_json.Jsonl
 module Lineio = Speccc_server.Lineio
 module Shard = Speccc_shard.Shard
 module Store = Speccc_store.Store
@@ -88,12 +88,6 @@ type obs = {
 let counter obs name =
   Option.value ~default:0 (List.assoc_opt name obs.counters)
 
-let verdict_name = function
-  | Harness.Consistent -> "consistent"
-  | Harness.Inconsistent -> "inconsistent"
-  | Harness.Unknown -> "unknown"
-  | Harness.Failed _ -> "failed"
-
 let definite = function "consistent" | "inconsistent" -> true | _ -> false
 
 (* ---------- scratch directories ---------- *)
@@ -163,7 +157,8 @@ let run_batch ~dir ~resume w =
              let key = Store.key ~salt doc in
              Store.put store ~key result;
              (* only reached when put returned: the write was acked *)
-             acked := (key, verdict_name result.Harness.verdict) :: !acked) }
+             acked :=
+               (key, Harness.verdict_tag result.Harness.verdict) :: !acked) }
   in
   let docs = List.map (fun (name, text) -> (name, Document.parse text)) w.docs in
   let crashed, results =
@@ -183,7 +178,9 @@ let run_batch ~dir ~resume w =
   Store.close store;
   {
     verdicts =
-      List.map (fun r -> (r.Harness.doc, verdict_name r.Harness.verdict)) results;
+      List.map
+        (fun r -> (r.Harness.doc, Harness.verdict_tag r.Harness.verdict))
+        results;
     responses = [];
     latencies = [];
     counters;
@@ -195,8 +192,10 @@ let run_batch ~dir ~resume w =
 
 (* ---------- closed-loop JSONL sessions (serve and route) ---------- *)
 
-let check_request id text =
-  Printf.sprintf "{\"id\":%d,\"doc\":\"%s\"}" id (Jsonl.escape text)
+let request id fields =
+  Jsonl.to_string (Jsonl.Obj (("id", Jsonl.Num (float_of_int id)) :: fields))
+
+let check_request id text = request id [ ("doc", Jsonl.Str text) ]
 
 let send_fd fd line =
   let data = Bytes.of_string (line ^ "\n") in
@@ -370,7 +369,7 @@ let worker_argv ~binary ~victim ~wedge ~delay ~shard ~socket =
      else [])
 
 let shard_pids session_send reader =
-  session_send "{\"id\":0,\"cmd\":\"health\"}";
+  session_send (request 0 [ ("cmd", Jsonl.Str "health") ]);
   match
     Lineio.next_line
       ~deadline:(Unix.gettimeofday () +. 30.0) reader

@@ -59,94 +59,7 @@ type summary = {
 
 (* ---------- JSONL journal ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      match s.[i] with
-      | '\\' when i + 1 < n ->
-        (match s.[i + 1] with
-         | 'n' -> Buffer.add_char buf '\n'; go (i + 2)
-         | 'r' -> Buffer.add_char buf '\r'; go (i + 2)
-         | 't' -> Buffer.add_char buf '\t'; go (i + 2)
-         | 'u' when i + 5 < n ->
-           (match int_of_string_opt ("0x" ^ String.sub s (i + 2) 4) with
-            | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-            | Some _ | None -> Buffer.add_char buf '?');
-           go (i + 6)
-         | c -> Buffer.add_char buf c; go (i + 2))
-      | c -> Buffer.add_char buf c; go (i + 1)
-  in
-  go 0;
-  Buffer.contents buf
-
-(* Minimal field extraction for the journal's own output format: finds
-   ["key":"..."] handling escaped quotes.  Not a general JSON parser
-   and not meant to be one — the journal only ever contains lines this
-   module wrote. *)
-let field_string line key =
-  let marker = Printf.sprintf "\"%s\":\"" key in
-  let mlen = String.length marker in
-  let n = String.length line in
-  let rec find i =
-    if i + mlen > n then None
-    else if String.sub line i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let rec close i =
-      if i >= n then None
-      else
-        match line.[i] with
-        | '\\' -> close (i + 2)
-        | '"' -> Some i
-        | _ -> close (i + 1)
-    in
-    (match close start with
-     | None -> None
-     | Some stop -> Some (json_unescape (String.sub line start (stop - start))))
-
-let field_number line key =
-  let marker = Printf.sprintf "\"%s\":" key in
-  let mlen = String.length marker in
-  let n = String.length line in
-  let rec find i =
-    if i + mlen > n then None
-    else if String.sub line i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < n
-      && (match line.[!stop] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.sub line start (!stop - start))
+module Jsonl = Speccc_json.Jsonl
 
 let verdict_tag = function
   | Consistent -> "consistent"
@@ -161,31 +74,28 @@ let verdict_of_tag detail = function
   | "failed" -> Some (Failed detail)
   | _ -> None
 
-(* The anytime progress object appended to partial verdicts: the rung
-   that was running plus its frontier fields (bound/round/states
-   reached, decided localization subsets).  Verbatim snapshot field
-   values — all short integers or index lists — rendered as JSON
-   strings. *)
-let progress_json snap =
-  Printf.sprintf "{\"engine\":\"%s\"%s}"
-    (json_escape (Speccc_runtime.Snapshot.engine snap))
-    (String.concat ""
-       (List.map
-          (fun (k, v) ->
-             Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v))
-          (Speccc_runtime.Snapshot.fields snap)))
+(* Partial verdicts carry the anytime progress object: the rung that
+   was running plus its frontier fields (bound/round/states reached,
+   decided localization subsets), as verbatim snapshot strings. *)
+let journal_fields result =
+  [ ("doc", Jsonl.Str result.doc);
+    ("verdict", Jsonl.Str (verdict_tag result.verdict));
+    ("engine", Jsonl.Str result.engine);
+    ("attempts", Jsonl.Num (float_of_int result.attempts));
+    ("wall", Jsonl.Num (Float.round (result.wall *. 1000.) /. 1000.));
+    ("detail", Jsonl.Str result.detail) ]
+  @
+  match result.progress with
+  | None -> []
+  | Some snap ->
+    let module Snapshot = Speccc_runtime.Snapshot in
+    [ ( "progress",
+        Jsonl.Obj
+          (("engine", Jsonl.Str (Snapshot.engine snap))
+           :: List.map (fun (k, v) -> (k, Jsonl.Str v)) (Snapshot.fields snap))
+      ) ]
 
-let journal_line result =
-  Printf.sprintf
-    "{\"doc\":\"%s\",\"verdict\":\"%s\",\"engine\":\"%s\",\"attempts\":%d,\"wall\":%.3f,\"detail\":\"%s\"%s}"
-    (json_escape result.doc)
-    (verdict_tag result.verdict)
-    (json_escape result.engine)
-    result.attempts result.wall
-    (json_escape result.detail)
-    (match result.progress with
-     | None -> ""
-     | Some snap -> ",\"progress\":" ^ progress_json snap)
+let journal_line result = Jsonl.to_string (Jsonl.Obj (journal_fields result))
 
 (* Append one line and flush before returning: the journal must
    survive the process dying right after this call. *)
@@ -245,38 +155,30 @@ let default_on_corrupt path line_no line =
     path line_no
     (if String.length line <= 40 then line else String.sub line 0 40 ^ "...")
 
+(* A line cut mid-flush does not parse, whatever fields survived. *)
 let journal_parse_line line =
-  (* every journal line ends with '}'; a line that does not was cut
-     mid-flush, even if the fields we need survived *)
-  let complete =
-    let trimmed = String.trim line in
-    String.length trimmed > 0
-    && trimmed.[String.length trimmed - 1] = '}'
-  in
-  match (if complete then field_string line "doc" else None) with
-  | None -> None
-  | Some doc ->
-    let detail =
-      Option.value ~default:"" (field_string line "detail")
-    in
+  match Jsonl.parse line with
+  | Error _ -> None
+  | Ok json ->
+    let detail = Option.value ~default:"" (Jsonl.str_member "detail" json) in
     let verdict =
-      Option.bind (field_string line "verdict") (verdict_of_tag detail)
+      Option.bind (Jsonl.str_member "verdict" json) (verdict_of_tag detail)
     in
-    (match verdict with
-     | None -> None
-     | Some verdict ->
+    (match (Jsonl.str_member "doc" json, verdict) with
+     | Some doc, Some verdict ->
        Some
          {
            doc;
            verdict;
-           engine = Option.value ~default:"?" (field_string line "engine");
+           engine = Option.value ~default:"?" (Jsonl.str_member "engine" json);
            attempts = 0;
-           wall = Option.value ~default:0. (field_number line "wall");
+           wall = Option.value ~default:0. (Jsonl.num_member "wall" json);
            detail;
            fresh = false;
            degradation = [];
            progress = None;
-         })
+         }
+     | _ -> None)
 
 let journal_read ?on_corrupt ?(repair = false) path =
   if not (Sys.file_exists path) then []

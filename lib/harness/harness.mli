@@ -14,7 +14,8 @@
 
     The journal is JSON Lines: one object per completed document,
     appended and flushed as soon as the document's verdict is known,
-    so a crash loses at most the document in flight.  Fields:
+    so a crash loses at most the document in flight.  Every line is
+    built and read by {!Speccc_json.Jsonl}.  Fields, in this order:
 
     {v
     {"doc":"<key>","verdict":"consistent|inconsistent|unknown|failed",
@@ -22,19 +23,21 @@
      "detail":"<one-line diagnostics>"}
     v}
 
-    Partial verdicts ([unknown]/[failed] results with anytime progress
-    to report) additionally carry a [progress] object — the rung that
-    was running and its frontier fields, e.g.
-    [{"engine":"explicit","bound":"4"}] — so a preempted check tells
-    the caller how far it got instead of answering a bare timeout.
+    [wall] is rounded to milliseconds.  Partial verdicts
+    ([unknown]/[failed] results with anytime progress to report)
+    additionally carry a [progress] object — the rung that was running
+    and its frontier fields, e.g. [{"engine":"explicit","bound":"4"}]
+    — so a preempted check tells the caller how far it got instead of
+    answering a bare timeout.
 
     A resumed run ({!config.resume}) reads the journal back and skips
     every document whose key already has a line, reporting the
     journaled verdict with [fresh = false].  A truncated or corrupt
-    trailing line (the process died mid-flush) is skipped with a
-    warning instead of aborting the resume.  The same verdict-object
-    schema is the serve mode's response format
-    ({!Speccc_server.Server}). *)
+    trailing line (the process died mid-flush) does not parse; it is
+    skipped with a warning instead of aborting the resume.  The same
+    verdict-object schema is the serve mode's response format
+    ({!Speccc_server.Server}) and the verdict store's record payload
+    ({!Speccc_store.Store}). *)
 
 type verdict_class =
   | Consistent
@@ -167,16 +170,26 @@ val check_one : config -> string -> Speccc_core.Document.t -> doc_result
     stays tripped, so they could only die at their first poll.  Never
     raises on per-document failures; does not touch the journal. *)
 
+val verdict_tag : verdict_class -> string
+(** The journal's [verdict] value: ["consistent"], ["inconsistent"],
+    ["unknown"] or ["failed"]. *)
+
+val journal_fields : doc_result -> (string * Speccc_json.Jsonl.t) list
+(** The journal object's fields in order ([doc], [verdict], [engine],
+    [attempts], [wall], [detail], then [progress] on partial
+    verdicts).  The serve mode puts its echoed [id] in front of them. *)
+
 val journal_line : doc_result -> string
-(** The JSONL object (no trailing newline) {!run} appends per
-    document — also the serve mode's response body. *)
+(** The JSONL object of {!journal_fields} (no trailing newline) that
+    {!run} appends per document. *)
 
 val journal_parse_line : string -> doc_result option
 (** Parse one {!journal_line}-format line back into a replayed result
-    ([fresh = false], [attempts = 0]); [None] for anything torn or
-    corrupt (any line not ending in ['}'] counts as torn even when
-    its surviving fields would parse).  The verdict store reuses this
-    as its record payload codec. *)
+    ([fresh = false], [attempts = 0], no [progress]); [None] for any
+    line that does not parse as a JSON object with a [doc] string and
+    a known [verdict] tag.  A torn line (cut mid-flush) never parses,
+    whatever fields survived the cut.  Field order does not matter.
+    The verdict store reuses this as its record payload codec. *)
 
 val journal_append : ?fsync:bool -> string -> doc_result -> unit
 (** Append {!journal_line} to the file and flush before returning:

@@ -30,6 +30,7 @@ open Speccc_runtime
 module Document = Speccc_core.Document
 module Pipeline = Speccc_core.Pipeline
 module Harness = Speccc_harness.Harness
+module Jsonl = Speccc_json.Jsonl
 module Realizability = Speccc_synthesis.Realizability
 module Cache = Speccc_cache.Cache
 module Ltl = Speccc_logic.Ltl
@@ -202,12 +203,9 @@ let dequeue pool =
 
 (* ---------- responses ---------- *)
 
+(* the verdict body is exactly the journal schema behind the echoed id *)
 let response_line job result =
-  (* the verdict body is exactly the journal schema; splice the echoed
-     request id in front of it *)
-  let body = Harness.journal_line result in
-  "{\"id\":" ^ Jsonl.to_string job.id ^ ","
-  ^ String.sub body 1 (String.length body - 1)
+  Jsonl.to_string (Jsonl.Obj (("id", job.id) :: Harness.journal_fields result))
 
 let server_write =
   Fault.Checkpoint.register "server.write"

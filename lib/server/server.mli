@@ -13,17 +13,22 @@
     {"id":4,"cmd":"shutdown"}
     v}
 
-    A [check] request (the default [cmd]) is answered with the
-    {!Speccc_harness.Harness.journal_line} verdict schema plus the
-    echoed [id]:
+    A [check] request (the default [cmd]) is answered with the echoed
+    [id] followed by the {!Speccc_harness.Harness.journal_fields}
+    verdict schema, in its order:
 
     {v
     {"id":1,"doc":"1","verdict":"consistent","engine":"symbolic",...}
     v}
 
-    Error responses are typed: [{"id":..,"error":"overloaded",
-    "queue_depth":n}] when the queue is past its high-water mark,
-    [{"id":..,"error":"bad_request","detail":..}] for malformed input.
+    [options.fuel] counts only when it is an integer in OCaml's [int]
+    range; otherwise the configured fuel applies.  Error responses are
+    typed: [{"id":..,"error":"overloaded","queue_depth":n}] when the
+    queue is past its high-water mark,
+    [{"id":..,"error":"bad_request","detail":..}] for malformed input,
+    i.e. anything {!Speccc_json.Jsonl.parse} rejects (a lone surrogate
+    [\u] escape included; the [id] is then [null]) or a request
+    without a document.
     Every request gets exactly one response; none are dropped.
 
     {2 Supervision}

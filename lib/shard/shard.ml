@@ -17,7 +17,7 @@
    correctness.  Every request is answered: exhaustion of all shards
    produces a typed [unavailable] error, not silence. *)
 
-module Jsonl = Speccc_server.Jsonl
+module Jsonl = Speccc_json.Jsonl
 module Breaker = Speccc_server.Breaker
 module Lineio = Speccc_server.Lineio
 module Fault = Speccc_runtime.Fault

@@ -29,6 +29,10 @@
            | <key> '\n' "SNAP " <Snapshot.to_string codec line>
     v}
 
+    A verdict payload is written by {!Speccc_harness.Harness.journal_line}
+    and read back by {!Speccc_harness.Harness.journal_parse_line}, so a
+    store record and a journal line are the same JSON object.
+
     Appends are flushed (optionally fsynced) per record.  {!open_}
     replays the log into the index; a torn tail — short header, short
     payload, or CRC mismatch, i.e. the process died mid-append — is

@@ -321,6 +321,118 @@ let test_journal_parse_line_roundtrip () =
     (Harness.journal_parse_line (String.sub line 0 (String.length line - 1))
      = None)
 
+(* ---------- the journal format ---------- *)
+
+let verdict_gen =
+  let open QCheck2.Gen in
+  oneofl
+    [ Harness.Consistent; Harness.Inconsistent; Harness.Unknown;
+      Harness.Failed "" ]
+
+(* doc keys, engines and details of arbitrary bytes: quotes,
+   backslashes, newlines, control characters, bytes >= 0x80 *)
+let result_gen =
+  let open QCheck2.Gen in
+  let bytes = string_size ~gen:char (0 -- 24) in
+  let progress =
+    opt
+      (map2
+         (fun engine fields ->
+            Speccc_runtime.Snapshot.make ~engine fields)
+         (oneofl [ "explicit"; "symbolic"; "sat" ])
+         (list_size (0 -- 3) (pair (oneofl [ "bound"; "round" ]) bytes)))
+  in
+  map
+    (fun ((doc, verdict, engine), (detail, wall, progress)) ->
+       let verdict =
+         match verdict with Harness.Failed _ -> Harness.Failed detail | v -> v
+       in
+       { Harness.doc; verdict; engine; attempts = 1; wall; detail;
+         fresh = true; degradation = []; progress })
+    (pair
+       (triple bytes verdict_gen bytes)
+       (triple bytes (float_range 0. 1e5) progress))
+
+let prop_journal_roundtrip =
+  QCheck2.Test.make ~count:300
+    ~name:"journal_parse_line (journal_line r) restores r"
+    ~print:Harness.journal_line result_gen
+    (fun r ->
+       match Harness.journal_parse_line (Harness.journal_line r) with
+       | None -> false
+       | Some p ->
+         p.Harness.doc = r.Harness.doc
+         && p.Harness.verdict = r.Harness.verdict
+         && p.Harness.engine = r.Harness.engine
+         && p.Harness.detail = r.Harness.detail
+         && p.Harness.wall = Float.round (r.Harness.wall *. 1000.) /. 1000.
+         && (not p.Harness.fresh) && p.Harness.attempts = 0)
+
+(* Lines exactly as earlier releases wrote them (wall as %.3f, the
+   progress object last) replay the same verdict, engine and detail. *)
+let test_journal_reads_earlier_lines () =
+  let lines =
+    [ {|{"doc":"specs/a \"b\".spec","verdict":"inconsistent","engine":"explicit","attempts":1,"wall":0.123,"detail":"unrealizable\tcore: R1, R2\u001f"}|};
+      {|{"doc":"d2","verdict":"unknown","engine":"none","attempts":3,"wall":0.123,"detail":"budget exhausted","progress":{"engine":"explicit","bound":"4"}}|};
+      {|{"doc":"d3","verdict":"failed","engine":"none","attempts":3,"wall":0.000,"detail":"parse error: line 1"}|} ]
+  in
+  let expected =
+    [ ("specs/a \"b\".spec", Harness.Inconsistent, "explicit",
+       "unrealizable\tcore: R1, R2\031", 0.123);
+      ("d2", Harness.Unknown, "none", "budget exhausted", 0.123);
+      ("d3", Harness.Failed "parse error: line 1", "none",
+       "parse error: line 1", 0.) ]
+  in
+  List.iter2
+    (fun line (doc, verdict, engine, detail, wall) ->
+       match Harness.journal_parse_line line with
+       | None -> Alcotest.fail ("earlier line rejected: " ^ line)
+       | Some r ->
+         Alcotest.(check string) "doc" doc r.Harness.doc;
+         Alcotest.(check bool) (doc ^ " verdict") true
+           (r.Harness.verdict = verdict);
+         Alcotest.(check string) "engine" engine r.Harness.engine;
+         Alcotest.(check string) "detail" detail r.Harness.detail;
+         Alcotest.(check (float 0.)) "wall" wall r.Harness.wall;
+         Alcotest.(check bool) "replay markers" true
+           ((not r.Harness.fresh) && r.Harness.attempts = 0))
+    lines expected
+
+(* A partial verdict ends in the progress object's brace; cut just
+   before the outer one, the line still ends in '}' but is torn. *)
+let test_journal_torn_nested_brace () =
+  let partial =
+    { (Harness.check_one (test_config ()) "d1" consistent_doc) with
+      Harness.verdict = Harness.Unknown;
+      progress =
+        Some (Speccc_runtime.Snapshot.make ~engine:"explicit" [ ("bound", "8") ])
+    }
+  in
+  let line = Harness.journal_line partial in
+  let torn = String.sub line 0 (String.length line - 1) in
+  Alcotest.(check char) "torn line ends in the inner brace" '}'
+    torn.[String.length torn - 1];
+  Alcotest.(check bool) "torn line rejected" true
+    (Harness.journal_parse_line torn = None);
+  let path = temp_journal () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+       let good = Harness.journal_line { partial with Harness.doc = "d0" } in
+       let oc = open_out_bin path in
+       output_string oc (good ^ "\n" ^ torn);
+       close_out oc;
+       let corrupt = ref 0 in
+       let replayed =
+         Harness.journal_read ~repair:true
+           ~on_corrupt:(fun _ _ -> incr corrupt) path
+       in
+       Alcotest.(check (list string)) "only the sound line replays" [ "d0" ]
+         (List.map fst replayed);
+       Alcotest.(check int) "torn line reported" 1 !corrupt;
+       Alcotest.(check int) "torn tail truncated"
+         (String.length good + 1) (Unix.stat path).Unix.st_size)
+
 let test_journal_fsync_append () =
   (* [fsync] is a durability upgrade, not a format change: the line
      must read back exactly like a flushed one. *)
@@ -566,6 +678,11 @@ let () =
             test_journal_parse_line_roundtrip;
           Alcotest.test_case "fsync append reads back" `Quick
             test_journal_fsync_append;
+          QCheck_alcotest.to_alcotest prop_journal_roundtrip;
+          Alcotest.test_case "earlier lines replay" `Quick
+            test_journal_reads_earlier_lines;
+          Alcotest.test_case "torn nested brace" `Quick
+            test_journal_torn_nested_brace;
         ] );
       ( "store hooks",
         [

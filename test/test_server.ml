@@ -7,6 +7,7 @@ open Speccc_runtime
 open Speccc_core
 open Speccc_harness
 open Speccc_server
+module Jsonl = Speccc_json.Jsonl
 
 let with_faults ?seed triggers f =
   Fault.install ?seed triggers;
@@ -37,13 +38,20 @@ let test_jsonl_rejects_garbage () =
        | Error _ -> ()
        | Ok _ -> Alcotest.fail (text ^ " must not parse"))
     [ ""; "{"; "[1,"; "{\"a\" 1}"; "tru"; "\"unterminated"; "1 2";
-      "{\"a\":1,}" ]
+      "{\"a\":1,}"; "\"\\u12g4\"";
+      (* lone surrogates have no UTF-8 encoding *)
+      "\"\\ud83d\""; "\"\\ude00\""; "\"\\ud83d\\u0041\""; "\"\\ud83dx\"" ]
 
 let test_jsonl_escapes () =
-  match Jsonl.parse "\"a\\\"b\\\\c\\n\\t\\u0041\"" with
-  | Ok (Jsonl.Str s) ->
-    Alcotest.(check string) "decoded" "a\"b\\c\n\tA" s
-  | Ok _ | Error _ -> Alcotest.fail "escaped string must parse"
+  List.iter
+    (fun (text, decoded) ->
+       match Jsonl.parse text with
+       | Ok (Jsonl.Str s) -> Alcotest.(check string) text decoded s
+       | Ok _ | Error _ -> Alcotest.fail (text ^ " must parse"))
+    [ ("\"a\\\"b\\\\c\\n\\t\\u0041\"", "a\"b\\c\n\tA");
+      (* what Python's json.dumps writes for U+1F600: one 4-byte UTF-8
+         sequence, the same bytes as the raw spelling *)
+      ("\"\\ud83d\\ude00\"", "\xF0\x9F\x98\x80") ]
 
 let test_jsonl_accessors () =
   match Jsonl.parse "{\"id\":7,\"name\":\"x\",\"opts\":{\"fuel\":100}}" with
@@ -57,6 +65,67 @@ let test_jsonl_accessors () =
       (Option.bind (Jsonl.member "opts" json) (Jsonl.int_member "fuel"));
     Alcotest.(check (option string)) "missing" None
       (Jsonl.str_member "absent" json)
+
+(* Every value the codec can render reads back equal: strings of
+   arbitrary bytes (quotes, backslashes, control characters, bytes
+   >= 0x80), finite floats of any magnitude, nested arrays and
+   objects. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let bytes = string_size ~gen:char (0 -- 12) in
+  let finite =
+    oneof
+      [ float_range (-1e6) 1e6;
+        map (fun f -> if Float.is_finite f then f else 0.) float;
+        map float_of_int int ]
+  in
+  let leaf =
+    oneof
+      [ pure Jsonl.Null; map (fun b -> Jsonl.Bool b) bool;
+        map (fun f -> Jsonl.Num f) finite; map (fun s -> Jsonl.Str s) bytes ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+      if n = 0 then leaf
+      else
+        oneof
+          [ leaf;
+            map (fun l -> Jsonl.Arr l) (list_size (0 -- 4) (self (n - 1)));
+            map
+              (fun l -> Jsonl.Obj l)
+              (list_size (0 -- 4) (pair bytes (self (n - 1)))) ])
+
+let prop_jsonl_roundtrip =
+  QCheck2.Test.make ~count:500 ~name:"parse (to_string v) = Ok v"
+    ~print:Jsonl.to_string json_gen
+    (fun v -> Jsonl.parse (Jsonl.to_string v) = Ok v)
+
+let test_jsonl_numbers () =
+  (* non-finite numbers have no JSON spelling: null, never nan/inf *)
+  List.iter
+    (fun f ->
+       Alcotest.(check string) (string_of_float f) "null"
+         (Jsonl.to_string (Jsonl.Num f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* the fewest digits that read back, never fewer *)
+  List.iter
+    (fun (f, text) ->
+       Alcotest.(check string) text text (Jsonl.to_string (Jsonl.Num f));
+       Alcotest.(check bool) (text ^ " reads back") true
+         (Jsonl.parse text = Ok (Jsonl.Num f)))
+    [ (123456.789, "123456.789"); (0.1 +. 0.2, "0.30000000000000004");
+      (42., "42"); (-1.5, "-1.5"); (0.123, "0.123") ]
+
+let test_jsonl_int_range () =
+  let int_of f = Jsonl.int_ (Jsonl.Num f) in
+  Alcotest.(check (option int)) "integral" (Some 7) (int_of 7.);
+  Alcotest.(check (option int)) "negative" (Some (-3)) (int_of (-3.));
+  Alcotest.(check (option int)) "min_int" (Some min_int)
+    (int_of (Float.of_int min_int));
+  Alcotest.(check (option int)) "fraction" None (int_of 2.5);
+  Alcotest.(check (option int)) "past max_int" None (int_of 1e30);
+  Alcotest.(check (option int)) "2^62" None (int_of (-.Float.of_int min_int));
+  Alcotest.(check (option int)) "nan" None (int_of Float.nan)
 
 (* ---------- breaker ---------- *)
 
@@ -177,7 +246,8 @@ let id_of json =
   | None -> Alcotest.fail "response without id"
 
 let check_request n text =
-  Printf.sprintf "{\"id\":%d,\"doc\":\"%s\"}" n (Jsonl.escape text)
+  Jsonl.to_string
+    (Jsonl.Obj [ ("id", Jsonl.Num (float_of_int n)); ("doc", Jsonl.Str text) ])
 
 let quick_config () =
   { (Server.default_config ()) with
@@ -242,6 +312,51 @@ let test_serve_basics () =
     stats.Server.bad_requests;
   Alcotest.(check int) "no restarts" 0 stats.Server.restarts;
   Alcotest.(check int) "no leaks" 0 stats.Server.leaked_workers
+
+(* A fuel the harness could not honour (a fraction, or past OCaml's
+   int range) is no fuel at all: serve falls back to its configured
+   budget instead of truncating it to a floor 200x smaller.  TELE:1 is
+   a document the 1 000-fuel floor cannot decide but the default
+   budget decides in milliseconds.  A lone surrogate escape is a
+   malformed request, not a mangled document. *)
+let test_serve_request_validation () =
+  let module Telepromise = Speccc_casestudies.Telepromise in
+  let text =
+    String.concat "\n"
+      (Telepromise.application_sentences (List.hd Telepromise.applications))
+  in
+  let request n fuel =
+    Jsonl.to_string
+      (Jsonl.Obj
+         [ ("id", Jsonl.Num (float_of_int n)); ("doc", Jsonl.Str text);
+           ("options", Jsonl.Obj [ ("fuel", Jsonl.Num fuel) ]) ])
+  in
+  let lines =
+    [ request 1 1000.; request 2 1e30; request 3 2.5;
+      "{\"id\":4,\"doc\":\"R1: the pump \\ud83d shall run.\"}" ]
+  in
+  let responses, _ = drive (quick_config ()) lines in
+  let by_id =
+    List.map
+      (fun line ->
+         let json = parse_response line in
+         (Jsonl.to_string (id_of json), json))
+      responses
+  in
+  let field id name =
+    match List.assoc_opt id by_id with
+    | Some json -> Jsonl.str_member name json
+    | None -> Alcotest.fail ("no response for id " ^ id)
+  in
+  Alcotest.(check (option string)) "1 000 fuel cannot decide it"
+    (Some "unknown") (field "1" "verdict");
+  Alcotest.(check (option string)) "fuel 1e30 falls back to the default"
+    (Some "consistent") (field "2" "verdict");
+  Alcotest.(check (option string)) "fuel 2.5 falls back to the default"
+    (Some "consistent") (field "3" "verdict");
+  (* an unparsable request has no id to echo *)
+  Alcotest.(check (option string)) "lone surrogate is a bad request"
+    (Some "bad_request") (field "null" "error")
 
 let test_serve_shutdown_cmd () =
   let lines =
@@ -605,6 +720,9 @@ let () =
             test_jsonl_rejects_garbage;
           Alcotest.test_case "escapes" `Quick test_jsonl_escapes;
           Alcotest.test_case "accessors" `Quick test_jsonl_accessors;
+          QCheck_alcotest.to_alcotest prop_jsonl_roundtrip;
+          Alcotest.test_case "numbers read back" `Quick test_jsonl_numbers;
+          Alcotest.test_case "int range" `Quick test_jsonl_int_range;
         ] );
       ( "breaker",
         [
@@ -620,6 +738,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_serve_basics;
           Alcotest.test_case "shutdown drains" `Quick
             test_serve_shutdown_cmd;
+          Alcotest.test_case "request validation" `Quick
+            test_serve_request_validation;
         ] );
       ( "supervision",
         [

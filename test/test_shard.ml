@@ -8,7 +8,7 @@
 open Speccc_core
 open Speccc_harness
 open Speccc_shard
-module Jsonl = Speccc_server.Jsonl
+module Jsonl = Speccc_json.Jsonl
 
 (* ---------- ring ---------- *)
 
@@ -194,7 +194,8 @@ let start_route ?(shards = 2) ?(retries = 2) argv =
   }
 
 let check_request n text =
-  Printf.sprintf "{\"id\":%d,\"doc\":\"%s\"}" n (Jsonl.escape text)
+  Jsonl.to_string
+    (Jsonl.Obj [ ("id", Jsonl.Num (float_of_int n)); ("doc", Jsonl.Str text) ])
 
 let parse_response line =
   match Jsonl.parse line with

@@ -394,6 +394,55 @@ let test_cacheable () =
   Alcotest.(check bool) "replays are not re-persisted" false
     (Store.cacheable { (result "d") with Speccc_harness.Harness.fresh = false })
 
+(* A store log exactly as earlier releases wrote it (the journal line
+   with wall as %.3f, with and without a progress object) replays the
+   same verdict, engine and detail. *)
+let test_earlier_records_replay () =
+  let frame payload =
+    let b = Buffer.create 64 in
+    let u32 v =
+      Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
+      Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
+      Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
+      Buffer.add_char b (Char.chr (v land 0xff))
+    in
+    u32 (String.length payload);
+    u32 (Int32.to_int (Store.crc32 payload) land 0xffffffff);
+    Buffer.add_string b payload;
+    Buffer.contents b
+  in
+  with_store_path (fun path ->
+      write_file path
+        ("SPECCCST1\n"
+         ^ frame
+             ("k1\n"
+              ^ {|{"doc":"pump \"v2\"","verdict":"inconsistent","engine":"explicit","attempts":1,"wall":0.123,"detail":"unrealizable\ncore: R1, R2"}|})
+         ^ frame
+             ("k2\n"
+              ^ {|{"doc":"d2","verdict":"consistent","engine":"symbolic","attempts":2,"wall":0.123,"detail":"ok","progress":{"engine":"symbolic","round":"3"}}|}));
+      let store = Store.open_ path in
+      let check key (doc, verdict, engine, detail) =
+        match Store.find store key with
+        | None -> Alcotest.fail (key ^ " not replayed")
+        | Some r ->
+          Alcotest.(check string) "doc" doc r.Speccc_harness.Harness.doc;
+          Alcotest.check verdict_testable "verdict" verdict
+            r.Speccc_harness.Harness.verdict;
+          Alcotest.(check string) "engine" engine
+            r.Speccc_harness.Harness.engine;
+          Alcotest.(check string) "detail" detail
+            r.Speccc_harness.Harness.detail;
+          Alcotest.(check (float 0.)) "wall" 0.123
+            r.Speccc_harness.Harness.wall
+      in
+      check "k1"
+        ("pump \"v2\"", Speccc_harness.Harness.Inconsistent, "explicit",
+         "unrealizable\ncore: R1, R2");
+      check "k2" ("d2", Speccc_harness.Harness.Consistent, "symbolic", "ok");
+      Alcotest.(check int) "nothing recovered" 0
+        (Store.stats store).Store.recovered_bytes;
+      Store.close store)
+
 let test_crc32_vector () =
   (* the classic IEEE check value *)
   Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l
@@ -438,5 +487,7 @@ let () =
           Alcotest.test_case "salt of options" `Quick test_salt_of_options;
           Alcotest.test_case "cacheable predicate" `Quick test_cacheable;
           Alcotest.test_case "crc32 test vector" `Quick test_crc32_vector;
+          Alcotest.test_case "earlier records replay" `Quick
+            test_earlier_records_replay;
         ] );
     ]
