@@ -44,6 +44,7 @@ type stage_times = {
 }
 
 type outcome = {
+  document : Document.t;
   requirements : Translate.requirement list;
   formulas : Ltl.t list;
   time_solution : Timeabs.solution option;
@@ -76,8 +77,9 @@ let make_budget options =
 (* The ladder's floor: when every synthesis engine degraded, a lint
    pass can still return a sound verdict — an unsatisfiable requirement
    or a conflicting pair refutes realizability outright.  The pass runs
-   on a small reserved budget of its own, because it is exactly the
-   engines' fuel that is gone; a partial verdict beats none. *)
+   on a small reserve of fuel of its own, because it is exactly the
+   engines' fuel that is gone; a partial verdict beats none.  The
+   reserve keeps the check's deadline and cancellation token. *)
 let lint_reserve_fuel = 20_000
 
 (* Fuel reserved for re-checking witnesses when [options.certify]: the
@@ -85,8 +87,10 @@ let lint_reserve_fuel = 20_000
    genuinely blow up. *)
 let certify_reserve_fuel = 50_000
 
-let lint_floor formulas (report : Realizability.report) =
-  let reserve = Speccc_runtime.Budget.create ~fuel:lint_reserve_fuel () in
+let lint_floor ~budget formulas (report : Realizability.report) =
+  let reserve =
+    Speccc_runtime.Budget.reserve budget ~fuel:lint_reserve_fuel
+  in
   let result, wall =
     Speccc_runtime.Runtime.timed (fun () ->
         Speccc_runtime.Runtime.guard ~stage:"lint" (fun () ->
@@ -160,20 +164,21 @@ let aborted (report : Realizability.report) =
     (fun rung -> rung.Realizability.rung_engine = "ladder")
     report.Realizability.degradation
 
-let synthesize options ?(assumptions = []) ~inputs ~outputs formulas =
+let synthesize options ~budget ?explicit_session ?(assumptions = [])
+    ~inputs ~outputs formulas =
   let report =
-    Realizability.check ~budget:(make_budget options) ~engine:options.engine
+    Realizability.check ~budget ~engine:options.engine
       ~lookahead:options.lookahead ~bound:options.bound
-      ~skip:options.skip_engines ~assumptions ~witness:options.certify
-      ~inputs ~outputs formulas
+      ~skip:options.skip_engines ~assumptions ?explicit_session
+      ~witness:options.certify ~inputs ~outputs formulas
   in
   match report.Realizability.verdict with
   | Realizability.Inconclusive _
     when report.Realizability.degradation <> [] && not (aborted report) ->
-    lint_floor formulas report
+    lint_floor ~budget formulas report
   | _ -> report
 
-let check_formulas ?options ?partition formulas =
+let check_formulas ?options ?partition ?explicit_session formulas =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
@@ -183,8 +188,9 @@ let check_formulas ?options ?partition formulas =
     | None -> (Partition.of_requirements formulas).Partition.partition
   in
   let report =
-    synthesize options ~inputs:partition.Partition.inputs
-      ~outputs:partition.Partition.outputs formulas
+    synthesize options ~budget:(make_budget options) ?explicit_session
+      ~inputs:partition.Partition.inputs ~outputs:partition.Partition.outputs
+      formulas
   in
   (partition, report)
 
@@ -193,14 +199,15 @@ let check_formulas ?options ?partition formulas =
    located diagnostic and the rest of the document proceeds; the
    returned document lists only the surviving items so downstream
    stages stay aligned with the translation. *)
-let translate_document options document =
+let translate_document options ?parse_cache document =
   if not options.recover then
-    ( Translate.specification options.translate (Document.texts document),
+    ( Translate.specification ?parse_cache options.translate
+        (Document.texts document),
       document,
       [] )
   else
     let translation, kept, diagnostics =
-      Translate.specification_recover options.translate
+      Translate.specification_recover ?parse_cache options.translate
         (List.map
            (fun item -> (item.Document.line, item.Document.text))
            document)
@@ -215,13 +222,13 @@ let translate_document options document =
     in
     (translation, survivors, diagnostics)
 
-let run_document ?options document =
+let run_document ?options ?parse_cache ?explicit_session document =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
   let (translation, document, diagnostics), translation_s =
     Speccc_runtime.Runtime.timed (fun () ->
-        translate_document options document)
+        translate_document options ?parse_cache document)
   in
   let raw_formulas =
     List.map (fun r -> r.Translate.formula) translation.Translate.requirements
@@ -269,20 +276,21 @@ let run_document ?options document =
           };
         })
   in
+  let budget = make_budget options in
   let report, synthesis_s =
     Speccc_runtime.Runtime.timed (fun () ->
-        synthesize options ~assumptions
+        synthesize options ~budget ?explicit_session ~assumptions
           ~inputs:partition.Partition.partition.Partition.inputs
           ~outputs:partition.Partition.partition.Partition.outputs guarantees)
   in
   let report, certificate =
     if not options.certify then (report, None)
     else
-      (* Certification runs on its own reserved budget: it is the
+      (* Certification runs on its own reserve of fuel: it is the
          engines' fuel that may just have run out, and the validators
          are cheap by comparison. *)
       let reserve =
-        Speccc_runtime.Budget.create ~fuel:certify_reserve_fuel ()
+        Speccc_runtime.Budget.reserve budget ~fuel:certify_reserve_fuel
       in
       let report, outcome =
         Speccc_certify.Certify.apply ~budget:reserve ~assumptions guarantees
@@ -291,6 +299,7 @@ let run_document ?options document =
       (report, Some outcome)
   in
   {
+    document;
     requirements = translation.Translate.requirements;
     formulas;
     time_solution;

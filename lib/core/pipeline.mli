@@ -20,7 +20,9 @@ type options = {
           {!Speccc_synthesis.Realizability.check}'s engine ladder, with
           a lint pass as the ladder's floor when every rung degraded. *)
   deadline : float option;
-      (** wall-clock seconds allowed for the synthesis stage *)
+      (** wall-clock seconds allowed for the synthesis stage; the lint
+          floor and certification run on reserves of fuel of their
+          own but share this deadline and [cancel] *)
   cancel : Speccc_runtime.Cancellation.token option;
       (** cooperative cancellation, polled at budget checkpoints *)
   skip_engines : string list;
@@ -36,7 +38,7 @@ type options = {
           before *)
   certify : bool;
       (** true: validate the verdict's witness with
-          {!Speccc_certify.Certify.apply} (on a small reserved budget)
+          {!Speccc_certify.Certify.apply} (on a small reserve of fuel)
           before reporting; a rejected certificate downgrades the
           verdict to [Inconclusive].  Also asks the ladder for a
           witness ([~witness] of
@@ -60,6 +62,10 @@ type stage_times = {
 }
 
 type outcome = {
+  document : Document.t;
+      (** the items checked, aligned with [requirements] and
+          [formulas]: the input document minus any requirement dropped
+          by [options.recover] *)
   requirements : Speccc_translate.Translate.requirement list;
   formulas : Speccc_logic.Ltl.t list;
       (** after time abstraction, in requirement order *)
@@ -82,29 +88,43 @@ val abstract_times :
 (** The time-abstraction stage on its own: collect the θ constants,
     solve for a divisor (per [options.time_budget] /
     [options.use_smt_abstraction]) and rewrite the formulas.  Exposed
-    for {!Watch}, which re-runs translation and abstraction per edit
-    but owns its own synthesis path. *)
+    so a benchmark can time this layer on its own; every check runs
+    it inside {!run_document}. *)
 
 val run : ?options:options -> string list -> outcome
 (** Full pipeline from requirement sentences (positional identifiers;
     equivalent to {!run_document} over {!Document.of_texts}). *)
 
-val run_document : ?options:options -> Document.t -> outcome
+val run_document :
+  ?options:options ->
+  ?parse_cache:Speccc_translate.Translate.parse_cache ->
+  ?explicit_session:Speccc_synthesis.Bounded.session ->
+  Document.t ->
+  outcome
 (** Like {!run}, but items whose identifier marks them as environment
     assumptions ({!Document.is_assumption}) become the antecedent of
     the realizability check ([∧A → ∧G]) instead of system obligations.
     Translation, time abstraction and partitioning still treat the
     whole document uniformly, so assumptions share the proposition
     space.  [outcome.formulas] lists every formula in document
-    order. *)
+    order.
+
+    [parse_cache] and [explicit_session] are caches the caller owns
+    across calls ({!Watch} keeps one of each per session): sentence
+    parses, and the explicit engine's arena blocks and solo frontiers.
+    Verdicts and witnesses are the same with or without them.  A hit
+    on a solo frontier charges no fuel, so a caller that wants fuel
+    accounting independent of earlier calls passes no session. *)
 
 val check_formulas :
   ?options:options ->
   ?partition:Speccc_partition.Partition.t ->
+  ?explicit_session:Speccc_synthesis.Bounded.session ->
   Speccc_logic.Ltl.t list ->
   Speccc_partition.Partition.t * Speccc_synthesis.Realizability.report
 (** Stage 2 only: partition (unless given) and synthesis over formulas
     that are already in LTL.  Used by the localization loop and by
-    specifications authored directly in LTL. *)
+    specifications authored directly in LTL.  [explicit_session] as in
+    {!run_document}. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,6 +1,5 @@
 open Speccc_logic
 open Speccc_translate
-open Speccc_partition
 open Speccc_synthesis
 
 module Verdict_lru = Speccc_cache.Cache.Make (Speccc_cache.Cache.String_key)
@@ -40,7 +39,7 @@ type session = {
   verdicts : (Pipeline.outcome * Localize.result option) Verdict_lru.t;
   mutable last_ids : int list;
       (* sorted hash-cons ids of the document's formulas at the last
-         incremental check — the invalidation baseline *)
+         cached check — the invalidation baseline *)
   mutable seq : int;
   mutable checks : int;
   mutable verdict_hits : int;
@@ -134,163 +133,61 @@ let ids_of doc checked =
     ( Some (Document.id_at doc loc.Localize.culprit),
       List.map (Document.id_at doc) loc.Localize.partners )
 
-(* Localization mirrors [Pipeline.check_formulas]: re-derive the
-   partition for each subset, then an unlimited-budget ladder check —
-   here routed through the session's engine state so subset verdicts
-   decided before an unrelated edit are reused. *)
-let check_subset session subset =
-  let analysis = Partition.of_requirements subset in
-  let report =
-    Realizability.check ~engine:session.options.Pipeline.engine
-      ~lookahead:session.options.Pipeline.lookahead
-      ~bound:session.options.Pipeline.bound ~explicit_session:session.engine
-      ~inputs:analysis.Partition.partition.Partition.inputs
-      ~outputs:analysis.Partition.partition.Partition.outputs subset
-  in
-  report.Realizability.verdict = Realizability.Consistent
-
-let localize_of session outcome =
-  match outcome.Pipeline.report.Realizability.verdict with
-  | Realizability.Inconsistent ->
-    Localize.run ~memo:session.loc_memo
-      ~check:(check_subset session)
-      outcome.Pipeline.formulas
-  | Realizability.Consistent | Realizability.Inconclusive _ -> None
-
-(* Governed, recovering or certifying sessions fall back to the full
-   pipeline per check: fuel charged against a budget must not depend
-   on what the session cached before, and the pipeline owns snapshot
-   slots, certification and dropped-sentence bookkeeping that the
-   incremental path does not replicate.  Still a watch session — just
-   without engine reuse. *)
+(* A governed check runs with none of the session's caches: fuel
+   charged against a budget must not depend on what the session solved
+   before, and [Bounded] charges no fuel for a solo frontier it already
+   holds.  Memory pressure counts as governed. *)
 let governed (options : Pipeline.options) =
   options.fuel <> None || options.deadline <> None || options.cancel <> None
   || options.skip_engines <> [] || options.snapshot <> None
   || Speccc_runtime.Memwatch.level () <> Speccc_runtime.Memwatch.Normal
 
-let fallback session =
-  let outcome = Pipeline.run_document ~options:session.options session.doc in
+(* Explicit invalidation: edited-away formulas (their hash-cons ids no
+   longer appear in the document) are dropped from the localize memo
+   and the engine's block/frontier caches.  Correctness never depends
+   on this — both stores are content-addressed — it bounds their
+   growth over a long session. *)
+let invalidate session formulas =
+  let ids = List.sort_uniq Int.compare (List.map Ltl.id formulas) in
+  if ids = session.last_ids then 0
+  else begin
+    let retain id = List.mem id ids in
+    let dropped = Localize.prune_memo session.loc_memo ~retain in
+    Bounded.prune_session session.engine ~retain;
+    session.last_ids <- ids;
+    session.invalidated_total <- session.invalidated_total + dropped;
+    dropped
+  end
+
+let consistent (_, report) =
+  report.Realizability.verdict = Realizability.Consistent
+
+let run session ~cached =
+  let options = session.options in
+  let parse_cache = if cached then Some session.parse else None in
+  let explicit_session = if cached then Some session.engine else None in
+  let memo = if cached then Some session.loc_memo else None in
+  let parse_hits0 = cache_hits "nlp.parse" in
+  let engine0 = Bounded.session_stats session.engine in
+  let outcome =
+    Pipeline.run_document ~options ?parse_cache ?explicit_session session.doc
+  in
+  let invalidated =
+    if cached then invalidate session outcome.Pipeline.formulas else 0
+  in
   (* subset checks never read a witness *)
-  let subset_options = { session.options with Pipeline.certify = false } in
+  let subset_options = { options with Pipeline.certify = false } in
   let localization =
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Inconsistent ->
-      Localize.run
+      Localize.run ?memo
         ~check:(fun subset ->
-          let _, report =
-            Pipeline.check_formulas ~options:subset_options subset
-          in
-          report.Realizability.verdict = Realizability.Consistent)
+          consistent
+            (Pipeline.check_formulas ~options:subset_options ?explicit_session
+               subset))
         outcome.Pipeline.formulas
-    | _ -> None
+    | Realizability.Consistent | Realizability.Inconclusive _ -> None
   in
-  ( outcome,
-    localization,
-    {
-      verdict_cached = false;
-      parse_hits = 0;
-      blocks_reused = 0;
-      solo_reused = 0;
-      invalidated = 0;
-    } )
-
-let incremental session =
-  let options = session.options in
-  let parse_hits0 = cache_hits "nlp.parse" in
-  let engine0 = Bounded.session_stats session.engine in
-  let translation, translation_s =
-    Speccc_runtime.Runtime.timed (fun () ->
-        Translate.specification ~parse_cache:session.parse
-          options.Pipeline.translate
-          (Document.texts session.doc))
-  in
-  let raw_formulas =
-    List.map
-      (fun r -> r.Translate.formula)
-      translation.Translate.requirements
-  in
-  let (formulas, time_solution), abstraction_s =
-    Speccc_runtime.Runtime.timed (fun () ->
-        Pipeline.abstract_times options raw_formulas)
-  in
-  (* Explicit invalidation: edited-away formulas (their hash-cons ids
-     no longer appear in the document) are dropped from the localize
-     memo and the engine's block/frontier caches.  Correctness never
-     depends on this — both stores are content-addressed — it bounds
-     their growth over a long session. *)
-  let ids = List.sort_uniq Int.compare (List.map Ltl.id formulas) in
-  let invalidated =
-    if ids = session.last_ids then 0
-    else begin
-      let retain id = List.mem id ids in
-      let dropped = Localize.prune_memo session.loc_memo ~retain in
-      Bounded.prune_session session.engine ~retain;
-      session.last_ids <- ids;
-      dropped
-    end
-  in
-  session.invalidated_total <- session.invalidated_total + invalidated;
-  let tagged = List.combine session.doc formulas in
-  let assumptions =
-    List.filter_map
-      (fun (item, formula) ->
-         if Document.is_assumption item then Some formula else None)
-      tagged
-  in
-  let guarantees =
-    List.filter_map
-      (fun (item, formula) ->
-         if Document.is_assumption item then None else Some formula)
-      tagged
-  in
-  (* Same partition construction as [Pipeline.run_document]: the
-     shape heuristic over the guarantees, assumption-only propositions
-     adopted as inputs. *)
-  let partition, partition_s =
-    Speccc_runtime.Runtime.timed (fun () ->
-        let analysis = Partition.of_requirements guarantees in
-        let known =
-          analysis.Partition.partition.Partition.inputs
-          @ analysis.Partition.partition.Partition.outputs
-        in
-        let extra =
-          List.concat_map Ltl.props assumptions
-          |> List.sort_uniq compare
-          |> List.filter (fun p -> not (List.mem p known))
-        in
-        {
-          analysis with
-          Partition.partition =
-            {
-              analysis.Partition.partition with
-              Partition.inputs =
-                List.sort compare
-                  (analysis.Partition.partition.Partition.inputs @ extra);
-            };
-        })
-  in
-  let report, synthesis_s =
-    Speccc_runtime.Runtime.timed (fun () ->
-        Realizability.check ~engine:options.Pipeline.engine
-          ~lookahead:options.Pipeline.lookahead
-          ~bound:options.Pipeline.bound ~assumptions
-          ~explicit_session:session.engine
-          ~inputs:partition.Partition.partition.Partition.inputs
-          ~outputs:partition.Partition.partition.Partition.outputs guarantees)
-  in
-  let outcome =
-    {
-      Pipeline.requirements = translation.Translate.requirements;
-      formulas;
-      time_solution;
-      partition;
-      report;
-      times = { translation_s; abstraction_s; partition_s; synthesis_s };
-      diagnostics = [];
-      certificate = None;
-    }
-  in
-  let localization = localize_of session outcome in
   let engine1 = Bounded.session_stats session.engine in
   ( outcome,
     localization,
@@ -307,42 +204,43 @@ let check session =
   let start = Unix.gettimeofday () in
   session.seq <- session.seq + 1;
   session.checks <- session.checks + 1;
-  let finish (outcome, localization, reuse) =
-    let culprit_id, partner_ids = ids_of session.doc localization in
-    {
-      outcome;
-      localization;
-      culprit_id;
-      partner_ids;
-      wall_s = Unix.gettimeofday () -. start;
-      reuse;
-      seq = session.seq;
-    }
-  in
-  if
-    governed session.options
-    || session.options.Pipeline.recover
-    || session.options.Pipeline.certify
-  then finish (fallback session)
-  else
-    let key = doc_key session.doc in
-    match Verdict_lru.find_opt session.verdicts key with
+  let cached = not (governed session.options) in
+  let key = doc_key session.doc in
+  let outcome, localization, reuse =
+    match
+      if cached then Verdict_lru.find_opt session.verdicts key else None
+    with
     | Some (outcome, localization) ->
       session.verdict_hits <- session.verdict_hits + 1;
-      finish
-        ( outcome,
-          localization,
-          {
-            verdict_cached = true;
-            parse_hits = 0;
-            blocks_reused = 0;
-            solo_reused = 0;
-            invalidated = 0;
-          } )
+      ( outcome,
+        localization,
+        {
+          verdict_cached = true;
+          parse_hits = 0;
+          blocks_reused = 0;
+          solo_reused = 0;
+          invalidated = 0;
+        } )
     | None ->
-      let (outcome, localization, reuse) = incremental session in
-      Verdict_lru.add session.verdicts key (outcome, localization);
-      finish (outcome, localization, reuse)
+      let (outcome, localization, _) as result = run session ~cached in
+      if cached then
+        Verdict_lru.add session.verdicts key (outcome, localization);
+      result
+  in
+  (* localization indices count the checked items, which under
+     [recover] are the document minus its dropped sentences *)
+  let culprit_id, partner_ids =
+    ids_of outcome.Pipeline.document localization
+  in
+  {
+    outcome;
+    localization;
+    culprit_id;
+    partner_ids;
+    wall_s = Unix.gettimeofday () -. start;
+    reuse;
+    seq = session.seq;
+  }
 
 let check_cold ?options doc = check (create ?options doc)
 

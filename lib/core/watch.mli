@@ -25,14 +25,20 @@
     sequence is {e bit-identical} (verdict, witnesses, localization —
     see {!fingerprint}) to {!check_cold} on the same document.
 
+    A check is one {!Pipeline.run_document} call handed the session's
+    parse cache and engine session, then {!Localize.run} over
+    {!Pipeline.check_formulas} with the same engine session: the
+    pipeline owns translation, time abstraction, partitioning, the
+    engine ladder with its lint floor, [recover] and [certify].
     Semantic analysis is document-global, so translation beyond the
     parse, time abstraction and partitioning are recomputed per check
     — they are linear-time and far off the critical path.
 
     Sessions with governed options ([fuel]/[deadline]/[cancel]/
-    [skip_engines]/[snapshot], or memory pressure), [recover] or
-    [certify] fall back to the full {!Pipeline.run_document} per
-    check: correct, but without engine reuse. *)
+    [skip_engines]/[snapshot], or memory pressure) make the same call
+    without any session cache: a cached solo frontier costs no fuel,
+    and fuel charged against a budget must not depend on what earlier
+    checks solved. *)
 
 type session
 
@@ -53,7 +59,8 @@ type checked = {
   outcome : Pipeline.outcome;
   localization : Localize.result option;
       (** culprit/partner analysis, present when the verdict is
-          [Inconsistent]; indices are 0-based into the document *)
+          [Inconsistent]; indices are 0-based into
+          [outcome.document], the checked items *)
   culprit_id : string option;   (** [localization.culprit] as a document id *)
   partner_ids : string list;    (** [localization.partners] as document ids *)
   wall_s : float;               (** wall time of this check *)
@@ -96,9 +103,9 @@ val delete : session -> id:string -> (unit, string) result
 
 val check : session -> checked
 (** Re-check the current document, reusing session state as described
-    above.  Raises {!Speccc_nlp.Parser.Error} when a sentence does not
-    parse (like the ungoverned pipeline; session state is untouched,
-    so the caller can fix the edit and re-check). *)
+    above.  Without [recover], raises {!Speccc_nlp.Parser.Error} when a
+    sentence does not parse, like the pipeline; session state is
+    untouched, so the caller can fix the edit and re-check. *)
 
 val check_cold : ?options:Pipeline.options -> Document.t -> checked
 (** One check in a throwaway session: the cold-start oracle the

@@ -117,19 +117,30 @@ let parse_string cursor =
   go ();
   Buffer.contents buf
 
+(* RFC 8259: [-] (0 | [1-9] digit* ) [. digit+] [(e|E) [+|-] digit+].
+   No leading zeros, no bare fraction or exponent marks. *)
 let parse_number cursor =
   let start = cursor.pos in
-  let numeric = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let digits () =
+    let first = cursor.pos in
+    while (match peek cursor with Some '0' .. '9' -> true | _ -> false) do
+      advance cursor
+    done;
+    if cursor.pos = first then error cursor "bad number: expected a digit"
   in
-  while (match peek cursor with Some c -> numeric c | None -> false) do
-    advance cursor
-  done;
-  let s = String.sub cursor.text start (cursor.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> error cursor (Printf.sprintf "bad number %S" s)
+  if peek cursor = Some '-' then advance cursor;
+  if peek cursor = Some '0' then advance cursor else digits ();
+  if peek cursor = Some '.' then begin
+    advance cursor;
+    digits ()
+  end;
+  (match peek cursor with
+   | Some ('e' | 'E') ->
+     advance cursor;
+     (match peek cursor with Some ('+' | '-') -> advance cursor | _ -> ());
+     digits ()
+   | _ -> ());
+  float_of_string (String.sub cursor.text start (cursor.pos - start))
 
 (* [opening], then [item]s separated by commas, then [closing] *)
 let parse_seq cursor opening closing item =

@@ -60,21 +60,18 @@ let check budget ~stage =
         raise (Runtime.Interrupt (Runtime.Fuel_exhausted stage));
       poll budget ~stage)
 
-let child parent ~fuel =
-  let fuel =
-    if parent.infinite then fuel
-    else min fuel parent.fuel
-  in
+let reserve parent ~fuel =
   {
+    parent with
     fuel = max 0 fuel;
     infinite = false;
-    deadline = parent.deadline;
-    cancel = parent.cancel;
-    poll_every = parent.poll_every;
     until_poll = parent.poll_every;
     steps = 0;
-    snapshot = parent.snapshot;
   }
+
+let child parent ~fuel =
+  reserve parent
+    ~fuel:(if parent.infinite then fuel else min fuel parent.fuel)
 
 let slot budget = budget.snapshot
 

@@ -63,6 +63,12 @@ val child : t -> fuel:int -> t
     the parent's deadline and cancellation token.  Charge the spend
     back with {!absorb}. *)
 
+val reserve : t -> fuel:int -> t
+(** Like {!child}, but [fuel] is not capped by the parent's remaining
+    fuel: a reserve for work that runs after the parent's fuel is gone
+    (the pipeline's lint floor and certification), still bound by the
+    parent's deadline and cancellation token. *)
+
 val absorb : t -> t -> unit
 (** [absorb parent c] debits [spent c] from [parent]'s fuel (saturating
     at zero) and adds it to [spent parent].  Call once per child. *)

@@ -279,11 +279,23 @@ let specification ?parse_cache:cache config texts =
   in
   of_parsed config texts (List.map parse texts)
 
-let specification_recover config items =
+(* Only sentences that parsed are cached: a diagnostic carries the
+   source line it was reported at. *)
+let specification_recover ?parse_cache:cache config items =
+  let parse line text =
+    match Option.bind cache (fun cache -> Parse_lru.find_opt cache text) with
+    | Some tree -> Ok tree
+    | None ->
+      let result = Parser.sentence_result ~line config.lexicon text in
+      (match (cache, result) with
+       | Some cache, Ok tree -> Parse_lru.add cache text tree
+       | _ -> ());
+      result
+  in
   let parsed, diagnostics =
     List.fold_left
       (fun (parsed, diags) (index, line, text) ->
-         match Parser.sentence_result ~line config.lexicon text with
+         match parse line text with
          | Ok tree -> ((index, text, tree) :: parsed, diags)
          | Error diag -> (parsed, (index, diag) :: diags))
       ([], [])

@@ -60,6 +60,7 @@ val specification : ?parse_cache:parse_cache -> config -> string list -> result
     cache — translations are identical with or without it. *)
 
 val specification_recover :
+  ?parse_cache:parse_cache ->
   config ->
   (int * string) list ->
   result * int list * (int * Speccc_nlp.Parser.diagnostic) list
@@ -69,7 +70,8 @@ val specification_recover :
     sentences, the original 0-based indices they came from (so callers
     can map reports back to requirement identifiers), and one located
     diagnostic per rejected sentence.  Never raises on grammar
-    errors. *)
+    errors.  [parse_cache] is read and filled as in {!specification},
+    with successful parses only (a diagnostic carries its line). *)
 
 val formula_of_sentence : config -> string -> Speccc_logic.Ltl.t
 (** Convenience wrapper for a single sentence. *)

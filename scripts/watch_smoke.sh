@@ -5,6 +5,9 @@
 #   - every edit produced a verdict event, all of them consistent,
 #   - the session actually reused engine state (arena blocks),
 #   - the p95 per-edit wall stays under the latency budget.
+# Then a second, short session makes one conflicting edit on a small
+# document and asserts that its verdict is inconsistent and that it
+# names the culprit `speccc localize` names for the edited document.
 #
 # Usage: scripts/watch_smoke.sh [path/to/speccc_cli.exe]
 # Env:   SPECCC_WATCH_BUDGET_MS  p95 budget in milliseconds (default 1000)
@@ -82,4 +85,49 @@ assert p95 < budget_ms, f"p95 {p95:.3f}ms over budget {budget_ms:.0f}ms"
 stats = [e for e in events if e.get("event") == "stats"]
 assert stats and stats[0]["blocks_reused"] > 0, "session reused no blocks"
 print("watch smoke: OK")
+PY
+
+# --- conflict session: one edit that breaks consistency
+small="$dir/small.spec"
+cat > "$small" <<'EOF'
+R1: If the button is pressed, the pump is started.
+R2: If the occlusion is present, the alarm is triggered.
+R3: If the pressure is high, the valve is opened.
+R4: When the pump is started, eventually the cuff is inflated.
+EOF
+conflict='If the button is pressed, the pump is not started.'
+edited="$dir/edited.spec"
+sed "s/^R3: .*/R3: $conflict/" "$small" > "$edited"
+
+out2="$dir/conflict.jsonl"
+printf '%s\n' \
+  "{\"cmd\":\"edit\",\"id\":\"R3\",\"text\":\"$conflict\"}" \
+  '{"cmd":"quit"}' \
+  | "$BIN" watch "$small" --engine explicit > "$out2"
+loc="$dir/localize.txt"
+"$BIN" localize "$edited" --engine explicit > "$loc"
+
+echo "--- conflict session events"
+cat "$out2"
+echo "--- localize on the edited document"
+cat "$loc"
+echo "---"
+
+python3 - "$out2" "$loc" <<'PY'
+import json, re, sys
+
+events = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+verdicts = [e for e in events if e.get("event") == "verdict"]
+assert len(verdicts) == 2, f"expected 2 verdict events, got {len(verdicts)}"
+assert verdicts[0]["verdict"] == "consistent", verdicts[0]
+edit = verdicts[1]
+assert edit["verdict"] == "inconsistent", f"conflict edit: {edit}"
+
+text = open(sys.argv[2]).read()
+index = re.search(r"^culprit: requirement (\d+)$", text, re.M).group(1)
+expected = re.search(r"^\s*\[" + index + r" = ([^\]]+)\]", text, re.M).group(1)
+assert edit.get("culprit") == expected, \
+    f"watch culprit {edit.get('culprit')} != localize culprit {expected}"
+print(f"conflict culprit: {expected}")
+print("watch conflict smoke: OK")
 PY

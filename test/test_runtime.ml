@@ -63,6 +63,22 @@ let test_child_absorb () =
   Alcotest.(check (option int)) "child capped" (Some 95)
     (Budget.remaining greedy)
 
+(* A reserve has fuel of its own after the parent's is gone, but keeps
+   the parent's cancellation token. *)
+let test_reserve () =
+  let token = Cancellation.create () in
+  let parent = Budget.create ~fuel:1 ~cancel:token ~poll_every:1 () in
+  Budget.checkpoint parent ~stage:"p";
+  Alcotest.(check bool) "parent exhausted" true (Budget.exhausted parent);
+  let reserve = Budget.reserve parent ~fuel:10 in
+  Alcotest.(check (option int)) "reserve fuel" (Some 10)
+    (Budget.remaining reserve);
+  Budget.checkpoint reserve ~stage:"r";
+  Cancellation.cancel token;
+  match Budget.checkpoint reserve ~stage:"r" with
+  | () -> Alcotest.fail "a reserve must poll the parent's token"
+  | exception Runtime.Interrupt (Runtime.Cancelled "r") -> ()
+
 let test_cancellation () =
   let token = Cancellation.create () in
   let budget = Budget.create ~cancel:token ~poll_every:1 () in
@@ -391,6 +407,28 @@ let test_cara_under_tight_budget () =
     Alcotest.(check bool) "degradation recorded" true
       (outcome.Pipeline.report.Realizability.degradation <> [])
 
+(* Starved of fuel, CARA's engines all degrade and the lint floor
+   would need far more than its reserve of fuel to finish.  The
+   reserve keeps the check's deadline, so the floor stops at it. *)
+let test_cara_lint_floor_keeps_deadline () =
+  let document =
+    List.mapi
+      (fun line (id, text) -> { Document.id; text; line = line + 1 })
+      Speccc_casestudies.Cara.working_modes
+  in
+  let options =
+    { (Pipeline.default_options ()) with
+      Pipeline.fuel = Some 1_000; deadline = Some 1. }
+  in
+  let started = Unix.gettimeofday () in
+  let outcome = Pipeline.run_document ~options document in
+  let wall = Unix.gettimeofday () -. started in
+  (match List.rev outcome.Pipeline.report.Realizability.degradation with
+   | { Realizability.rung_engine = "lint";
+       rung_error = Some (Runtime.Timeout _); _ } :: _ -> ()
+   | _ -> Alcotest.fail "the lint rung must end on the deadline");
+  Alcotest.(check bool) "well before the fuel-only 20 s" true (wall < 10.)
+
 (* ---------- the termination property ---------- *)
 
 let prop_names = [ "i"; "o"; "p" ]
@@ -443,6 +481,7 @@ let () =
           Alcotest.test_case "poll interval bound" `Quick
             test_poll_interval_bound;
           Alcotest.test_case "child/absorb" `Quick test_child_absorb;
+          Alcotest.test_case "reserve" `Quick test_reserve;
           Alcotest.test_case "cancellation" `Quick test_cancellation;
           Alcotest.test_case "cancellation reason" `Quick
             test_cancellation_reason;
@@ -491,6 +530,8 @@ let () =
         [
           Alcotest.test_case "CARA under tight budget" `Quick
             test_cara_under_tight_budget;
+          Alcotest.test_case "CARA lint floor keeps the deadline" `Quick
+            test_cara_lint_floor_keeps_deadline;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_budgeted_check_terminates ] );

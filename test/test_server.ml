@@ -40,7 +40,10 @@ let test_jsonl_rejects_garbage () =
     [ ""; "{"; "[1,"; "{\"a\" 1}"; "tru"; "\"unterminated"; "1 2";
       "{\"a\":1,}"; "\"\\u12g4\"";
       (* lone surrogates have no UTF-8 encoding *)
-      "\"\\ud83d\""; "\"\\ude00\""; "\"\\ud83d\\u0041\""; "\"\\ud83dx\"" ]
+      "\"\\ud83d\""; "\"\\ude00\""; "\"\\ud83d\\u0041\""; "\"\\ud83dx\"";
+      (* numbers outside RFC 8259's grammar *)
+      "01"; "1."; "-.5"; "{\"fuel\":01}"; "-"; "1e"; "1e+"; "+1"; ".5";
+      "-01"; "1.e5" ]
 
 let test_jsonl_escapes () =
   List.iter
@@ -114,7 +117,16 @@ let test_jsonl_numbers () =
        Alcotest.(check bool) (text ^ " reads back") true
          (Jsonl.parse text = Ok (Jsonl.Num f)))
     [ (123456.789, "123456.789"); (0.1 +. 0.2, "0.30000000000000004");
-      (42., "42"); (-1.5, "-1.5"); (0.123, "0.123") ]
+      (42., "42"); (-1.5, "-1.5"); (0.123, "0.123") ];
+  (* every form of RFC 8259's number grammar, including what the
+     printer writes past 1e15 *)
+  List.iter
+    (fun (text, f) ->
+       Alcotest.(check bool) (text ^ " parses") true
+         (Jsonl.parse text = Ok (Jsonl.Num f)))
+    [ ("0", 0.); ("-0", -0.); ("0.5", 0.5); ("-0.5e1", -5.); ("1e5", 1e5);
+      ("1E+5", 1e5); ("25e-1", 2.5); ("1e+30", 1e30);
+      (Jsonl.to_string (Jsonl.Num 1e-7), 1e-7) ]
 
 let test_jsonl_int_range () =
   let int_of f = Jsonl.int_ (Jsonl.Num f) in
@@ -317,8 +329,9 @@ let test_serve_basics () =
    int range) is no fuel at all: serve falls back to its configured
    budget instead of truncating it to a floor 200x smaller.  TELE:1 is
    a document the 1 000-fuel floor cannot decide but the default
-   budget decides in milliseconds.  A lone surrogate escape is a
-   malformed request, not a mangled document. *)
+   budget decides in milliseconds.  A lone surrogate escape or a
+   number outside JSON's grammar is a malformed request, not a mangled
+   document or a fuel. *)
 let test_serve_request_validation () =
   let module Telepromise = Speccc_casestudies.Telepromise in
   let text =
@@ -333,7 +346,8 @@ let test_serve_request_validation () =
   in
   let lines =
     [ request 1 1000.; request 2 1e30; request 3 2.5;
-      "{\"id\":4,\"doc\":\"R1: the pump \\ud83d shall run.\"}" ]
+      "{\"id\":4,\"doc\":\"R1: the pump \\ud83d shall run.\"}";
+      "{\"id\":5,\"doc\":\"The pump is started.\",\"options\":{\"fuel\":01}}" ]
   in
   let responses, _ = drive (quick_config ()) lines in
   let by_id =
@@ -356,7 +370,14 @@ let test_serve_request_validation () =
     (Some "consistent") (field "3" "verdict");
   (* an unparsable request has no id to echo *)
   Alcotest.(check (option string)) "lone surrogate is a bad request"
-    (Some "bad_request") (field "null" "error")
+    (Some "bad_request") (field "null" "error");
+  (* a leading zero is outside JSON's number grammar *)
+  Alcotest.(check int) "fuel 01 is a bad request too" 2
+    (List.length
+       (List.filter
+          (fun (id, json) ->
+             id = "null" && Jsonl.str_member "error" json = Some "bad_request")
+          by_id))
 
 let test_serve_shutdown_cmd () =
   let lines =

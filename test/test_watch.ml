@@ -150,9 +150,61 @@ let test_governed_sessions_fall_back () =
   let cold = Watch.check_cold ~options (Watch.document session) in
   Alcotest.(check string) "governed watch = governed cold"
     (Watch.fingerprint cold) (Watch.fingerprint live);
-  Alcotest.(check bool) "no engine reuse on the fallback path" true
+  Alcotest.(check bool) "no engine reuse on a governed check" true
     (not live.Watch.reuse.Watch.verdict_cached
      && live.Watch.reuse.Watch.blocks_reused = 0)
+
+(* Under [recover] the localization counts only the sentences that
+   parsed, so its indices must be mapped through the survivors, not
+   the whole document. *)
+let test_recover_names_surviving_ids () =
+  let options = { explicit_options with Pipeline.recover = true } in
+  let doc =
+    doc_of
+      [
+        ("R0", "The frobnicator zorps quickly.");
+        ("R1", "If the pump is lost, the alarm is triggered.");
+        ("R2", "If the pump is lost, the alarm is not triggered.");
+      ]
+  in
+  let session = Watch.create ~options doc in
+  let checked = Watch.check session in
+  Alcotest.(check string) "conflict detected" "inconsistent"
+    (verdict_class checked);
+  Alcotest.(check (list string)) "R0 dropped" [ "R0" ]
+    (List.map fst checked.Watch.outcome.Pipeline.diagnostics);
+  Alcotest.(check (option string)) "culprit" (Some "R2")
+    checked.Watch.culprit_id;
+  Alcotest.(check (list string)) "partners" [ "R1" ] checked.Watch.partner_ids;
+  (* a recovering session still reuses its caches *)
+  ok (Watch.edit session ~id:"R0"
+        ~text:"If the valve is opened, the cuff is inflated.");
+  let edited = Watch.check session in
+  Alcotest.(check string) "recovering watch = cold"
+    (Watch.fingerprint (Watch.check_cold ~options (Watch.document session)))
+    (Watch.fingerprint edited);
+  Alcotest.(check bool) "parses reused" true
+    (edited.Watch.reuse.Watch.parse_hits > 0);
+  Alcotest.(check (option string)) "culprit after the edit" (Some "R2")
+    edited.Watch.culprit_id
+
+(* A certifying session takes the same cached path: after an edit the
+   explicit engine reuses the unedited sentences' arena blocks, and
+   the verdict and witness still equal a cold check's. *)
+let test_certify_session_reuses_blocks () =
+  let options = { explicit_options with Pipeline.certify = true } in
+  let session = Watch.create ~options (base_doc ()) in
+  ignore (Watch.check session);
+  ok (Watch.edit session ~id:"R2"
+        ~text:"If the pump is lost, the alarm is not triggered.");
+  let live = Watch.check session in
+  let cold = Watch.check_cold ~options (Watch.document session) in
+  Alcotest.(check string) "certifying watch = cold"
+    (Watch.fingerprint cold) (Watch.fingerprint live);
+  Alcotest.(check bool) "arena blocks reused" true
+    (live.Watch.reuse.Watch.blocks_reused > 0);
+  Alcotest.(check bool) "certified" true
+    (live.Watch.outcome.Pipeline.certificate <> None)
 
 (* --- cross-entry witness identity --- *)
 
@@ -176,10 +228,11 @@ let live_document () =
       ("R14", "When the valve is opened, eventually the cuff is inflated.");
     ]
 
-(* With the explicit engine, a document checked through the full
-   pipeline and through a cold watch session must carry the same
-   verdict, engine and witness: the fingerprint of the cold record is
-   unchanged when its outcome is swapped for [Pipeline.run_document]'s. *)
+(* A document checked through the full pipeline and through a cold
+   watch session must carry the same verdict, engine and witness: the
+   fingerprint of the cold record is unchanged when its outcome is
+   swapped for [Pipeline.run_document]'s.  Under the explicit engine,
+   the Auto ladder, and the Auto ladder asked for certified witnesses. *)
 let test_pipeline_equals_cold_watch () =
   let spec_dir = "../examples/specs" in
   let spec_docs =
@@ -191,15 +244,24 @@ let test_pipeline_equals_cold_watch () =
   in
   Alcotest.(check bool) "example specs found" true (spec_docs <> []);
   List.iter
-    (fun (name, doc) ->
-       let cold = Watch.check_cold ~options:explicit_options doc in
-       let piped =
-         { cold with
-           Watch.outcome = Pipeline.run_document ~options:explicit_options doc }
-       in
-       Alcotest.(check string) (name ^ ": pipeline = cold watch")
-         (Watch.fingerprint cold) (Watch.fingerprint piped))
-    (spec_docs @ [ ("live document", live_document ()) ])
+    (fun (label, options) ->
+       List.iter
+         (fun (name, doc) ->
+            let cold = Watch.check_cold ~options doc in
+            let piped =
+              { cold with
+                Watch.outcome = Pipeline.run_document ~options doc }
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s, %s: pipeline = cold watch" name label)
+              (Watch.fingerprint cold) (Watch.fingerprint piped))
+         (spec_docs @ [ ("live document", live_document ()) ]))
+    [
+      ("explicit", explicit_options);
+      ("auto", Pipeline.default_options ());
+      ("certify",
+       { (Pipeline.default_options ()) with Pipeline.certify = true });
+    ]
 
 (* --- randomized drills --- *)
 
@@ -358,6 +420,10 @@ let () =
             test_governed_sessions_fall_back;
           Alcotest.test_case "pipeline = cold watch" `Quick
             test_pipeline_equals_cold_watch;
+          Alcotest.test_case "recover names surviving ids" `Quick
+            test_recover_names_surviving_ids;
+          Alcotest.test_case "certify session reuses blocks" `Quick
+            test_certify_session_reuses_blocks;
         ] );
       ( "random",
         [
