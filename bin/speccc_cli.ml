@@ -302,21 +302,6 @@ let fsync_arg =
          ~doc:"fsync journal and verdict-store appends, so records \
                survive the machine dying, not just the process.")
 
-(* Wire the verdict store into the harness hooks (the serve mode does
-   this itself through its config; batch wires it here). *)
-let harness_with_store harness store =
-  let module Store = Speccc_store.Store in
-  let module Harness = Speccc_harness.Harness in
-  match store with
-  | None -> harness
-  | Some st ->
-    let salt = Store.salt_of_options harness.Harness.options in
-    { harness with
-      Harness.store_find =
-        Some (fun doc -> Store.find st (Store.key ~salt doc));
-      store_put =
-        Some (fun doc result -> Store.put st ~key:(Store.key ~salt doc) result) }
-
 (* --inject CHECKPOINT[@AFTER]=ACTION[:ARG] — install a deterministic
    fault plan before the run (chaos drills from the command line).
    Examples: engine.symbolic=fail:boom, sat.solve@2=exhaust,
@@ -554,7 +539,11 @@ let batch_cmd =
         journal_fsync = fsync;
         stop = (fun () -> Atomic.get interrupted) }
     in
-    let config = harness_with_store config store in
+    let config =
+      Option.fold ~none:config
+        ~some:(fun st -> Speccc_store.Store.wire_harness st config)
+        store
+    in
     let summary = Speccc_harness.Harness.run_files config files in
     Option.iter (Sys.set_signal Sys.sigint) previous;
     Format.printf "%a@." Speccc_harness.Harness.pp_summary summary;
@@ -1746,28 +1735,9 @@ let watch_cmd =
       | exception Speccc_nlp.Parser.Error message ->
         error_event !seq ("parse error: " ^ message)
     in
-    (* Stdin is a line protocol; buffer reads ourselves so several
-       commands arriving in one burst are all drained before the next
-       select. *)
-    let pending = Buffer.create 256 in
-    let eof = ref false in
-    let next_line () =
-      let contents = Buffer.contents pending in
-      match String.index_opt contents '\n' with
-      | Some i ->
-        Buffer.clear pending;
-        Buffer.add_string pending
-          (String.sub contents (i + 1) (String.length contents - i - 1));
-        Some (String.sub contents 0 i)
-      | None -> None
-    in
-    let fill () =
-      let chunk = Bytes.create 4096 in
-      match Unix.read Unix.stdin chunk 0 4096 with
-      | 0 -> eof := true
-      | n -> Buffer.add_subbytes pending chunk 0 n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
+    (* Stdin is a line protocol; between lines, a watched file is polled
+       for a new mtime once per [poll] seconds. *)
+    let stdin = Speccc_server.Lineio.create Unix.stdin in
     let quit = ref false in
     let on_command line =
       let trimmed = String.trim line in
@@ -1814,24 +1784,24 @@ let watch_cmd =
            | None -> error_event !seq "missing \"cmd\"")
     in
     check ();
-    while not (!quit || !eof) do
-      (match next_line () with
-       | Some line -> on_command line
-       | None ->
-         let timeout = if is_file then poll else -1. in
-         (match Unix.select [ Unix.stdin ] [] [] timeout with
-          | [ _ ], _, _ -> fill ()
-          | _ ->
-            if is_file then begin
-              let now = mtime () in
-              if now <> !last_mtime then begin
-                last_mtime := now;
-                match Document.of_file source with
-                | document -> Watch.set_document session document; check ()
-                | exception Sys_error message -> error_event !seq message
-              end
-            end
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
+    while not (!quit || Speccc_server.Lineio.eof stdin) do
+      let deadline =
+        if is_file then Some (Unix.gettimeofday () +. poll) else None
+      in
+      match
+        Speccc_server.Lineio.next_line ?deadline stdin ~stop:(fun () -> false)
+      with
+      | Some line -> on_command line
+      | None ->
+        if is_file && not (Speccc_server.Lineio.eof stdin) then begin
+          let now = mtime () in
+          if now <> !last_mtime then begin
+            last_mtime := now;
+            match Document.of_file source with
+            | document -> Watch.set_document session document; check ()
+            | exception Sys_error message -> error_event !seq message
+          end
+        end
     done;
     if stats then stats_event session
   in

@@ -56,20 +56,26 @@ let build_tableau ?budget formula =
     incr counter; !counter
   in
   let completed : node list ref = ref [] in
+  (* Completed nodes are unique on (old, next), so a table keyed by the
+     sorted formula ids of both sets finds the one merge target without
+     scanning every completed node. *)
+  let by_sets = Hashtbl.create 64 in
+  let sets_key node =
+    let ids set =
+      List.sort Int.compare (List.map Ltl.id (Ltl.Set.elements set))
+    in
+    (ids node.old, ids node.next)
+  in
   let rec expand node =
     match Ltl.Set.choose_opt node.to_process with
     | None ->
       (* Node fully processed: merge with an equivalent completed node
          or record it and start its successor. *)
-      (match
-         List.find_opt
-           (fun other ->
-              Ltl.Set.equal other.old node.old
-              && Ltl.Set.equal other.next node.next)
-           !completed
-       with
+      let key = sets_key node in
+      (match Hashtbl.find_opt by_sets key with
        | Some other -> other.incoming <- node.incoming @ other.incoming
        | None ->
+         Hashtbl.add by_sets key node;
          completed := node :: !completed;
          let successor = {
            id = fresh_id ();

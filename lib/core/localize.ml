@@ -33,7 +33,7 @@ let shrink_partners ~check_indices culprit candidates =
     in
     minimize [] candidates
 
-(* Subset verdicts are memoized by the sorted set of formula ids, so
+(* Subset verdicts are memoized by the sorted list of formula ids, so
    the localization protocol never re-checks a conjunction set it has
    already decided — most prominently, [grow]'s final step re-examines
    the full set that [run] just checked, and the shrink loop revisits
@@ -42,16 +42,13 @@ let shrink_partners ~check_indices culprit candidates =
    requirements, not their order or multiplicity, which holds for the
    realizability checkers used here (conjunction is the spec).
 
-   Within one run the memo is the index-keyed [decided] table.  Cross-
-   run reuse is opt-in via [memo]: a caller that re-localizes the same
-   evolving document (the watch session) passes one memo per session,
-   keyed by formula ids — content-addressed, so an edited sentence
-   gets a fresh id and can never be served a stale verdict.  Earlier
-   revisions salted a *shared* LRU with a per-run nonce instead; every
-   entry it deposited was unreachable by construction (the in-run
-   table already answered every repeat), pure dead weight that evicted
-   live entries.  There is deliberately no shared cache here anymore:
-   without a memo, no state survives the run. *)
+   There is one table.  A run without a memo gets a fresh one, so no
+   state survives it.  A caller that re-localizes the same evolving
+   document (the watch session) passes one memo per session instead;
+   it is keyed by formula ids — content-addressed, so an edited
+   sentence gets a fresh id and can never be served a stale verdict.
+   There is deliberately no shared cache here: a per-run nonce salting
+   a global LRU only filled it with entries no later run could reach. *)
 
 type memo = (int list, bool) Hashtbl.t
 
@@ -69,107 +66,18 @@ let prune_memo memo ~retain =
   List.iter (Hashtbl.remove memo) stale;
   List.length stale
 
-(* ---------- anytime snapshots of the subset lattice ----------
-
-   The hash-cons ids keying the in-run memo are per-domain, so they
-   cannot survive a preemption (the retry may land on another domain
-   or another process).  Snapshots therefore key decided subsets by
-   *formula indices* — stable as long as the requirement list is the
-   same, which the resuming supervisor guarantees and a stored
-   formula-count field double-checks.  Encoding: "0.2.3:1,1:0"
-   (sorted indices dot-joined, ':', verdict bit, comma-separated). *)
-
-let snapshot_engine = "localize"
-
-let encode_decided decided =
-  Hashtbl.fold
-    (fun indices verdict acc ->
-       (String.concat "." (List.map string_of_int indices)
-        ^ ":" ^ (if verdict then "1" else "0"))
-       :: acc)
-    decided []
-  |> List.sort compare
-  |> String.concat ","
-
-let decode_decided s =
-  let table = Hashtbl.create 32 in
-  let ok =
-    String.split_on_char ',' s
-    |> List.for_all (fun entry ->
-        if entry = "" then true
-        else
-          match String.split_on_char ':' entry with
-          | [ ixs; bit ] when bit = "0" || bit = "1" ->
-            let indices =
-              String.split_on_char '.' ixs
-              |> List.map int_of_string_opt
-            in
-            if List.for_all Option.is_some indices then begin
-              Hashtbl.replace table
-                (List.filter_map Fun.id indices)
-                (bit = "1");
-              true
-            end
-            else false
-          | _ -> false)
-  in
-  if ok then Some table else None
-
-let run ?snapshot ?memo ~check formulas =
+let run ?memo:(decided = memo ()) ~check formulas =
   let formulas_array = Array.of_list formulas in
   let n = Array.length formulas_array in
   let ids = Array.map Ltl.id formulas_array in
-  (* Seed decided subsets from an armed snapshot: each seeded subset
-     is one [check] (and its whole engine ladder) a resumed run never
-     pays again.  A count mismatch or decode failure degrades to a
-     cold start. *)
-  let decided =
-    match snapshot with
-    | None -> Hashtbl.create 32
-    | Some slot ->
-      (match Speccc_runtime.Snapshot.resume_for slot ~engine:snapshot_engine with
-       | Some snap
-         when Speccc_runtime.Snapshot.int_field snap "n" = Some n ->
-         (match Speccc_runtime.Snapshot.field snap "decided" with
-          | Some enc ->
-            (match decode_decided enc with
-             | Some table
-               when Hashtbl.fold
-                      (fun ixs _ ok ->
-                         ok && List.for_all (fun i -> i >= 0 && i < n) ixs)
-                      table true -> table
-             | Some _ | None -> Hashtbl.create 32)
-          | None -> Hashtbl.create 32)
-       | Some _ | None -> Hashtbl.create 32)
-  in
-  let publish () =
-    match snapshot with
-    | None -> ()
-    | Some slot ->
-      Speccc_runtime.Snapshot.publish slot
-        (Speccc_runtime.Snapshot.make ~engine:snapshot_engine
-           [ ("n", string_of_int n); ("decided", encode_decided decided) ])
-  in
   let check_indices indices =
     let sorted = List.sort_uniq Int.compare indices in
-    match Hashtbl.find_opt decided sorted with
+    let key = List.sort Int.compare (List.map (fun i -> ids.(i)) sorted) in
+    match Hashtbl.find_opt decided key with
     | Some verdict -> verdict
     | None ->
-      let id_key = List.sort Int.compare (List.map (fun i -> ids.(i)) sorted) in
-      let verdict =
-        match memo with
-        | Some memo when Hashtbl.mem memo id_key -> Hashtbl.find memo id_key
-        | _ ->
-          let verdict =
-            check (List.map (fun i -> formulas_array.(i)) indices)
-          in
-          (match memo with
-           | Some memo -> Hashtbl.replace memo id_key verdict
-           | None -> ());
-          verdict
-      in
-      Hashtbl.replace decided sorted verdict;
-      publish ();
+      let verdict = check (List.map (fun i -> formulas_array.(i)) indices) in
+      Hashtbl.replace decided key verdict;
       verdict
   in
   if check_indices (List.init n Fun.id) then None

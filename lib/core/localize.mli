@@ -40,7 +40,6 @@ val prune_memo : memo -> retain:(int -> bool) -> int
     accumulate. *)
 
 val run :
-  ?snapshot:Speccc_runtime.Snapshot.slot ->
   ?memo:memo ->
   check:(Speccc_logic.Ltl.t list -> bool) ->
   Speccc_logic.Ltl.t list ->
@@ -51,23 +50,16 @@ val run :
     that is inconsistent on its own is reported as culprit with an
     empty partner set.
 
-    Within one [run], subset verdicts are memoized by the sorted set
-    of formula indices, so [check] is invoked at most once per
+    Subset verdicts are memoized in one table keyed by the sorted
+    formula ids of each subset, so [check] is invoked at most once per
     distinct requirement set; it must therefore be deterministic and
     extensional (order- and duplicate-insensitive), which holds for
-    conjunction-based consistency checks.  Verdicts never leak
-    between runs unless the caller passes the same [memo] — then a
-    subset whose formula-id set was decided by an earlier run (e.g.
-    before an unrelated edit) is answered without invoking [check],
-    which must therefore also be stable across those runs (same
-    engine options; the partition is a function of the subset).
-
-    [snapshot] makes the run {e anytime}: every decided subset is
-    published to the slot (engine ["localize"], decided subsets keyed
-    by formula index so they survive domain and process boundaries),
-    and an armed resume snapshot over the same formula list pre-seeds
-    those verdicts, so a preempted-then-retried localization re-checks
-    strictly fewer subsets.  A corrupt or mismatched snapshot (wrong
-    formula count, undecodable entry) degrades to a cold start. *)
+    conjunction-based consistency checks.  Without [memo] the table is
+    fresh for this run and verdicts never leak between runs.  With
+    [memo], it is the caller's table: a subset whose formula-id set
+    was decided by an earlier run (e.g. before an unrelated edit) is
+    answered without invoking [check], which must therefore also be
+    stable across those runs (same engine options; the partition is a
+    function of the subset). *)
 
 val pp : Format.formatter -> result -> unit

@@ -7,7 +7,6 @@ open Speccc_synthesis
 type options = {
   translate : Translate.config;
   time_budget : int option;
-  use_smt_abstraction : bool;
   engine : Realizability.engine;
   lookahead : int;
   bound : int;
@@ -23,7 +22,6 @@ type options = {
 let default_options () = {
   translate = Translate.default_config ();
   time_budget = Some 5;
-  use_smt_abstraction = true;
   engine = Realizability.Auto;
   lookahead = 6;
   bound = 8;
@@ -63,9 +61,7 @@ let abstract_times options formulas =
       match options.time_budget with
       | None -> Timeabs.gcd_solution thetas
       | Some budget ->
-        let problem = Timeabs.problem ~budget thetas in
-        if options.use_smt_abstraction then Timeabs.solve_smt problem
-        else Timeabs.solve_analytic problem
+        Timeabs.solve_smt (Timeabs.problem ~budget thetas)
     in
     (List.map (Timeabs.apply solution) formulas, Some solution)
 

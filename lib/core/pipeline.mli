@@ -7,10 +7,8 @@
 type options = {
   translate : Speccc_translate.Translate.config;
   time_budget : int option;
-      (** error budget [B] for the abstraction; [None] = GCD only *)
-  use_smt_abstraction : bool;
-      (** true: solve the optimization by bit-blasting (the paper's
-          route); false: analytic divisor search *)
+      (** error budget [B] for the abstraction, solved by
+          bit-blasting (the paper's route); [None] = GCD only *)
   engine : Speccc_synthesis.Realizability.engine;
   lookahead : int;
   bound : int;
@@ -86,8 +84,8 @@ val abstract_times :
   Speccc_logic.Ltl.t list ->
   Speccc_logic.Ltl.t list * Speccc_timeabs.Timeabs.solution option
 (** The time-abstraction stage on its own: collect the θ constants,
-    solve for a divisor (per [options.time_budget] /
-    [options.use_smt_abstraction]) and rewrite the formulas.  Exposed
+    solve for a divisor (per [options.time_budget]) and rewrite the
+    formulas.  Exposed
     so a benchmark can time this layer on its own; every check runs
     it inside {!run_document}. *)
 

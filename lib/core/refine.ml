@@ -48,8 +48,8 @@ type suggestion = {
   advice : string;
 }
 
-let suggest ?snapshot ~check_subset ~check_partition ~partition formulas =
-  match Localize.run ?snapshot ~check:check_subset formulas with
+let suggest ~check_subset ~check_partition ~partition formulas =
+  match Localize.run ~check:check_subset formulas with
   | None ->
     {
       localization = None;

@@ -32,7 +32,6 @@ type suggestion = {
 }
 
 val suggest :
-  ?snapshot:Speccc_runtime.Snapshot.slot ->
   check_subset:(Speccc_logic.Ltl.t list -> bool) ->
   check_partition:(Speccc_partition.Partition.t -> bool) ->
   partition:Speccc_partition.Partition.t ->
@@ -40,5 +39,4 @@ val suggest :
   suggestion
 (** The full stage-3 loop: localize, try partition adjustments focused
     on the located requirements, and produce advice for the remaining
-    case (modify the requirements).  [snapshot] is forwarded to
-    {!Localize.run} for anytime progress. *)
+    case (modify the requirements). *)

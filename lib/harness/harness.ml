@@ -75,8 +75,8 @@ let verdict_of_tag detail = function
   | _ -> None
 
 (* Partial verdicts carry the anytime progress object: the rung that
-   was running plus its frontier fields (bound/round/states reached,
-   decided localization subsets), as verbatim snapshot strings. *)
+   was running plus its frontier fields (bound/round/states reached),
+   rendered by the snapshot's own JSON conversion. *)
 let journal_fields result =
   [ ("doc", Jsonl.Str result.doc);
     ("verdict", Jsonl.Str (verdict_tag result.verdict));
@@ -87,13 +87,7 @@ let journal_fields result =
   @
   match result.progress with
   | None -> []
-  | Some snap ->
-    let module Snapshot = Speccc_runtime.Snapshot in
-    [ ( "progress",
-        Jsonl.Obj
-          (("engine", Jsonl.Str (Snapshot.engine snap))
-           :: List.map (fun (k, v) -> (k, Jsonl.Str v)) (Snapshot.fields snap))
-      ) ]
+  | Some snap -> [ ("progress", Speccc_runtime.Snapshot.to_json snap) ]
 
 let journal_line result = Jsonl.to_string (Jsonl.Obj (journal_fields result))
 

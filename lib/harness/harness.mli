@@ -27,7 +27,7 @@
     ([unknown]/[failed] results with anytime progress to report)
     additionally carry a [progress] object — the rung that was running
     and its frontier fields, e.g. [{"engine":"explicit","bound":"4"}]
-    — so a preempted check tells the caller how far it got instead of
+    ({!Speccc_runtime.Snapshot.to_json}) — so a preempted check tells the caller how far it got instead of
     answering a bare timeout.
 
     A resumed run ({!config.resume}) reads the journal back and skips

@@ -2,18 +2,18 @@
 
    A snapshot is a tiny engine-tagged key/value record describing how
    far a long-running search got: the explicit game's bound, the
-   symbolic fixpoint's layer, the SAT search's machine size, the
-   localizer's decided subsets.  Engines publish one at every completed
-   escalation step; supervisors (harness retries, the server watchdog,
-   the shard router) carry the last published snapshot across a
-   preemption so the next attempt resumes instead of cold-starting.
+   symbolic fixpoint's layer, the SAT search's machine size.  Engines
+   publish one at every completed escalation step; supervisors
+   (harness retries, the server watchdog, the shard router) carry the
+   last published snapshot across a preemption so the next attempt
+   resumes instead of cold-starting.
 
-   The string codec is a single line guarded by a checksum: a corrupt
-   or truncated snapshot decodes to [None] and the consumer falls back
+   A snapshot travels as one JSON object (see [to_json]); anything that
+   does not decode to that shape is [None] and the consumer falls back
    to a cold start — never to wrong state. *)
 
 type t = {
-  engine : string;               (* "explicit" | "symbolic" | "sat" | "localize" *)
+  engine : string;               (* "explicit" | "symbolic" | "sat" *)
   fields : (string * string) list;
 }
 
@@ -32,99 +32,35 @@ let int_field t name =
 let with_field t name value =
   { t with fields = (name, value) :: List.remove_assoc name t.fields }
 
-(* ---------- codec ---------- *)
+(* ---------- JSON ---------- *)
 
-let magic = "speccc-snap1"
+module Jsonl = Speccc_json.Jsonl
 
-(* FNV-1a 64-bit over the payload; corruption detection only, not
-   cryptographic. *)
-let checksum s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
-              0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
+(* The one rendering: the engine tag first, then the fields in order,
+   every value a string.  The journal and serve "progress" member and
+   the store's SNAP records all carry exactly this object. *)
+let to_json t =
+  Jsonl.Obj
+    (("engine", Jsonl.Str t.engine)
+     :: List.map (fun (k, v) -> (k, Jsonl.Str v)) t.fields)
 
-let needs_escape c =
-  match c with
-  | '%' | ';' | '=' | '|' -> true
-  | c -> Char.code c < 0x20 || Char.code c >= 0x7f
-
-let enc s =
-  if String.for_all (fun c -> not (needs_escape c)) s then s
-  else begin
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-         if needs_escape c then Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
-         else Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
-
-let dec s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i ok =
-    if i >= n then ok
-    else if s.[i] = '%' then begin
-      if i + 2 < n then
-        match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code -> Buffer.add_char b (Char.chr (code land 0xff)); go (i + 3) ok
-        | None -> go (i + 1) false
-      else false
-    end
-    else begin Buffer.add_char b s.[i]; go (i + 1) ok end
-  in
-  if go 0 true then Some (Buffer.contents b) else None
-
-let payload t =
-  enc t.engine ^ ";"
-  ^ String.concat ";"
-      (List.map (fun (k, v) -> enc k ^ "=" ^ enc v) t.fields)
-
-let to_string t =
-  let body = payload t in
-  magic ^ "|" ^ checksum body ^ "|" ^ body
-
-let of_string line =
-  match String.split_on_char '|' line with
-  | [ m; sum; body ] when m = magic && sum = checksum body ->
-    (match String.split_on_char ';' body with
-     | engine :: rest ->
-       (match dec engine with
-        | None -> None
-        | Some engine ->
-          let rec decode_fields acc = function
-            | [] -> Some (List.rev acc)
-            | "" :: rest -> decode_fields acc rest
-            | kv :: rest ->
-              (match String.index_opt kv '=' with
-               | None -> None
-               | Some i ->
-                 let k = String.sub kv 0 i in
-                 let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-                 (match dec k, dec v with
-                  | Some k, Some v -> decode_fields ((k, v) :: acc) rest
-                  | _ -> None))
-          in
-          (match decode_fields [] rest with
-           | Some fields -> Some { engine; fields }
-           | None -> None))
-     | [] -> None)
+let of_json = function
+  | Jsonl.Obj (("engine", Jsonl.Str engine) :: members) ->
+    let rec decode acc = function
+      | [] -> Some { engine; fields = List.rev acc }
+      | (k, Jsonl.Str v) :: rest -> decode ((k, v) :: acc) rest
+      | _ :: _ -> None
+    in
+    decode [] members
   | _ -> None
 
 (* ---------- antichain field codec ----------
 
    The explicit engine's antichain frontiers are lists of counting
    functions (int arrays, -1 for inactive).  They ride inside an
-   ordinary snapshot field, so the line format and its version tag are
-   unchanged: arrays are joined with ':', elements with ',' — both
-   characters pass the escaper untouched.  Decoding is strict; any
-   malformed element rejects the whole field and the consumer cold
-   starts. *)
+   ordinary string field: arrays are joined with ':', elements with
+   ','.  Decoding is strict; any malformed element rejects the whole
+   field and the consumer cold starts. *)
 
 let counts_to_field antichain =
   String.concat ":"

@@ -2,15 +2,17 @@
 
     A snapshot records how far a long-running engine search got — the
     explicit game's escalation bound, the symbolic fixpoint's layer,
-    the SAT search's machine size, the localizer's decided subsets —
-    as an engine-tagged key/value record with a checksummed
-    single-line string codec.  Supervisors carry the last published
+    the SAT search's machine size — as an engine-tagged key/value
+    record.  Its one serialization is a JSON object ({!to_json}), the
+    same object the journal, serve responses and the verdict store's
+    snapshot records carry.  Supervisors carry the last published
     snapshot across a preemption (watchdog trip, harness retry, worker
     respawn) so the next attempt resumes instead of cold-starting.
 
-    Corruption tolerance is structural: {!of_string} returns [None]
-    for any damaged line, and a consumer that gets [None] simply cold
-    starts.  A snapshot can only skip work that was already completed
+    Corruption tolerance is structural: {!of_json} returns [None] for
+    any other shape, and a consumer that gets [None] simply cold
+    starts (persisted snapshots are also guarded by the store frame's
+    CRC-32).  A snapshot can only skip work that was already completed
     and re-derivable — verdicts still flow through the engines and the
     certificate gate, so a stale or forged snapshot can cost time, not
     soundness. *)
@@ -19,7 +21,7 @@ type t
 
 val make : engine:string -> (string * string) list -> t
 (** [make ~engine fields].  [engine] is the producing rung
-    ("explicit", "symbolic", "sat", "localize"). *)
+    ("explicit", "symbolic", "sat"). *)
 
 val engine : t -> string
 val fields : t -> (string * string) list
@@ -28,20 +30,19 @@ val int_field : t -> string -> int option
 val with_field : t -> string -> string -> t
 (** Functional field update (replaces an existing binding). *)
 
-val to_string : t -> string
-(** One-line codec: magic, checksum, percent-escaped payload.  Safe to
-    embed in JSONL strings and store records. *)
+val to_json : t -> Speccc_json.Jsonl.t
+(** [{"engine":E,"k1":"v1",...}]: the engine tag first, then the
+    fields in order, every value a JSON string. *)
 
-val of_string : string -> t option
-(** Inverse of {!to_string}; [None] on any corruption (bad magic,
-    checksum mismatch, malformed escape or field). *)
+val of_json : Speccc_json.Jsonl.t -> t option
+(** Inverse of {!to_json}; [None] for any value of another shape (not
+    an object, [engine] missing or not first, a non-string value). *)
 
 (** {2 Antichain frontiers}
 
     The explicit engine's resumable frontier is an antichain of
-    counting functions.  These helpers pack one into a single field
-    value (and back), so it travels inside the existing line codec —
-    same magic, same checksum, no version bump. *)
+    counting functions.  These helpers pack one into a single string
+    field value (and back). *)
 
 val counts_to_field : int array list -> string
 

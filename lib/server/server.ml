@@ -65,22 +65,6 @@ let default_config () =
     store = None;
   }
 
-(* Wire the persistent verdict store into the harness hooks: lookups
-   and puts key on content identity salted with the option fields that
-   change the checked formulas.  Per-request overrides (fuel, deadline,
-   skipped rungs) never touch the salt — they affect whether a definite
-   verdict is reached, not which one is true. *)
-let harness_with_store config =
-  match config.store with
-  | None -> config.harness
-  | Some store ->
-    let salt = Store.salt_of_options config.harness.Harness.options in
-    { config.harness with
-      Harness.store_find =
-        Some (fun doc -> Store.find store (Store.key ~salt doc));
-      store_put =
-        Some (fun doc result -> Store.put store ~key:(Store.key ~salt doc) result) }
-
 type stats = {
   served : int;
   shed : int;
@@ -693,7 +677,12 @@ let next_line reader ~stop = Lineio.next_line reader ~stop
 (* ---------- lifecycle ---------- *)
 
 let make_pool config output =
-  let config = { config with harness = harness_with_store config } in
+  let config =
+    match config.store with
+    | None -> config
+    | Some store ->
+      { config with harness = Store.wire_harness store config.harness }
+  in
   let pool =
     {
       config;

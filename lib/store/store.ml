@@ -1,6 +1,8 @@
 module Document = Speccc_core.Document
 module Pipeline = Speccc_core.Pipeline
 module Harness = Speccc_harness.Harness
+module Jsonl = Speccc_json.Jsonl
+module Snapshot = Speccc_runtime.Snapshot
 module Fault = Speccc_runtime.Fault
 module Eintr = Speccc_runtime.Eintr
 
@@ -56,10 +58,10 @@ let key ?salt (doc : Document.t) =
 (* Everything that changes the *checked formulas* (or which sentences
    survive to be checked) must be in the salt, or a stored verdict
    could be served for a semantically different check:
-   - [time_budget] and [use_smt_abstraction] pick the time-abstraction
-     solution, rewriting every timed formula;
-   - the [translate] switches ([next_as_x], [future_as_eventually])
-     change the per-sentence LTL templates;
+   - [time_budget] picks the time-abstraction solution, rewriting
+     every timed formula;
+   - the [translate] switch [next_as_x] changes the per-sentence LTL
+     templates;
    - [recover] decides whether ungrammatical sentences abort the run
      or are dropped, i.e. which formula set is conjoined.
    Engine knobs stay out on purpose: [engine], [lookahead], [bound],
@@ -70,7 +72,10 @@ let key ?salt (doc : Document.t) =
    ([translate.lexicon] and [translate.dictionary] also shape the
    formulas, but carry no canonical serialization; every production
    caller uses the defaults, and a caller with a custom lexicon must
-   key its store by construction.) *)
+   key its store by construction.)  The constant "smt=1" and "fe=1"
+   entries name the SMT time abstraction and the future-as-eventually
+   template, which every check uses; they stay in the salt so that
+   existing stores keep their keys. *)
 let salt_of_options (o : Pipeline.options) =
   let flag b = if b then "1" else "0" in
   String.concat ","
@@ -78,10 +83,9 @@ let salt_of_options (o : Pipeline.options) =
       (match o.Pipeline.time_budget with
        | None -> "tb=gcd"
        | Some b -> "tb=" ^ string_of_int b);
-      "smt=" ^ flag o.Pipeline.use_smt_abstraction;
+      "smt=1";
       "nx=" ^ flag o.Pipeline.translate.Speccc_translate.Translate.next_as_x;
-      "fe="
-      ^ flag o.Pipeline.translate.Speccc_translate.Translate.future_as_eventually;
+      "fe=1";
       "rec=" ^ flag o.Pipeline.recover;
     ]
 
@@ -111,18 +115,21 @@ let encode_record ~key result =
   frame_of_payload (key ^ "\n" ^ Harness.journal_line result)
 
 (* Snapshot records share the frame format; their payload line is the
-   snapshot codec behind a "SNAP " marker instead of a verdict object.
-   They let a respawned worker warm-replay anytime progress alongside
-   verdicts: a preempted check's frontier survives the process. *)
+   snapshot's JSON object behind a "SNAP " marker.  The marker, not the
+   object's shape, tells the two record kinds apart: a partial verdict
+   object carries a "progress" member of its own.  Snapshot records let
+   a respawned worker warm-replay anytime progress alongside verdicts:
+   a preempted check's frontier survives the process. *)
 let snap_marker = "SNAP "
 
+let snapshot_line snap = Jsonl.to_string (Snapshot.to_json snap)
+
 let encode_snapshot_record ~key snap =
-  frame_of_payload
-    (key ^ "\n" ^ snap_marker ^ Speccc_runtime.Snapshot.to_string snap)
+  frame_of_payload (key ^ "\n" ^ snap_marker ^ snapshot_line snap)
 
 type decoded =
   | Verdict of string * Harness.doc_result
-  | Snapshot_of of string * Speccc_runtime.Snapshot.t
+  | Snapshot_of of string * Snapshot.t
 
 (* Record payloads replay exactly like journal lines: fresh = false,
    attempts = 0, no degradation rungs. *)
@@ -138,13 +145,17 @@ let decode_payload payload =
       else if
         String.length line >= String.length snap_marker
         && String.sub line 0 (String.length snap_marker) = snap_marker
-      then
-        (* a corrupt snapshot body is dropped (cold start), never fatal *)
-        Option.map
-          (fun s -> Snapshot_of (key, s))
-          (Speccc_runtime.Snapshot.of_string
-             (String.sub line (String.length snap_marker)
-                (String.length line - String.length snap_marker)))
+      then (
+        (* an unreadable snapshot body (including one written in an
+           older format) is dropped: that check cold-starts *)
+        match
+          Jsonl.parse
+            (String.sub line (String.length snap_marker)
+               (String.length line - String.length snap_marker))
+        with
+        | Ok json ->
+            Option.map (fun s -> Snapshot_of (key, s)) (Snapshot.of_json json)
+        | Error _ -> None)
       else
         Option.map (fun r -> Verdict (key, r)) (Harness.journal_parse_line line)
 
@@ -157,7 +168,7 @@ type t = {
   on_recover : string -> unit;
   lock : Mutex.t;
   index : (string, Harness.doc_result) Hashtbl.t;
-  snap_index : (string, Speccc_runtime.Snapshot.t) Hashtbl.t;
+  snap_index : (string, Snapshot.t) Hashtbl.t;
   mutable fd : Unix.file_descr option;
   mutable dead : int; (* superseded records still in the log *)
   mutable appends : int;
@@ -437,10 +448,9 @@ let put_snapshot t ~key snap =
   locked t (fun () ->
       (* progress for a key whose verdict is already durable is moot *)
       if not (Hashtbl.mem t.index key) then begin
-        let encoded = Speccc_runtime.Snapshot.to_string snap in
         let same =
           match Hashtbl.find_opt t.snap_index key with
-          | Some prev -> Speccc_runtime.Snapshot.to_string prev = encoded
+          | Some prev -> snapshot_line prev = snapshot_line snap
           | None -> false
         in
         if not same then begin
@@ -460,6 +470,16 @@ let put_snapshot t ~key snap =
 
 let find_snapshot t key =
   locked t (fun () -> Hashtbl.find_opt t.snap_index key)
+
+(* ---------- harness wiring ---------- *)
+
+let wire_harness t (config : Harness.config) =
+  let salt = salt_of_options config.Harness.options in
+  {
+    config with
+    Harness.store_find = Some (fun doc -> find t (key ~salt doc));
+    store_put = Some (fun doc result -> put t ~key:(key ~salt doc) result);
+  }
 
 let stats t =
   locked t (fun () ->

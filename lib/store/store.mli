@@ -26,12 +26,16 @@
     header   "SPECCCST1\n"
     record   u32_be payload_length | u32_be crc32(payload) | payload
     payload  <key> '\n' <Harness.journal_line verdict object>
-           | <key> '\n' "SNAP " <Snapshot.to_string codec line>
+           | <key> '\n' "SNAP " <Snapshot.to_json object>
     v}
 
     A verdict payload is written by {!Speccc_harness.Harness.journal_line}
     and read back by {!Speccc_harness.Harness.journal_parse_line}, so a
-    store record and a journal line are the same JSON object.
+    store record and a journal line are the same JSON object.  A
+    snapshot payload is the object a partial verdict carries as its
+    [progress] member; the ["SNAP "] marker, not the object's shape,
+    tells the two kinds apart.  The frame's CRC-32 is the corruption
+    check for both.
 
     Appends are flushed (optionally fsynced) per record.  {!open_}
     replays the log into the index; a torn tail — short header, short
@@ -74,8 +78,8 @@ val key : ?salt:string -> Speccc_core.Document.t -> string
 val salt_of_options : Speccc_core.Pipeline.options -> string
 (** The key salt for the option fields that change the {e checked
     formulas} (and hence possibly the verdict): the time-abstraction
-    budget and solver choice, the translation template switches, and
-    error recovery (which decides the surviving sentence set).
+    budget, the translation template switch, and error recovery (which
+    decides the surviving sentence set).
     Engine/fuel/deadline/lookahead/bound and the other effort knobs
     are excluded on purpose — a definite verdict is a fact about the
     formulas, shared across engine configurations. *)
@@ -108,14 +112,24 @@ val put : t -> key:string -> Speccc_harness.Harness.doc_result -> unit
 val put_snapshot : t -> key:string -> Speccc_runtime.Snapshot.t -> unit
 (** Append an anytime-snapshot record: the progress frontier of a
     preempted check, keyed like its verdict would be.  Snapshot
-    records ride the same framed log (payload line ["SNAP " ^ codec]);
-    a later definite verdict for the key supersedes the snapshot (it
-    is dropped from the index and at the next compaction), identical
-    re-puts are deduplicated, and a corrupt snapshot body is skipped
-    at open — the consumer cold-starts, never resumes bad state. *)
+    records ride the same framed log (payload line ["SNAP "] followed
+    by the snapshot's JSON object); a later definite verdict for the
+    key supersedes the snapshot (it is dropped from the index and at
+    the next compaction), identical re-puts are deduplicated, and a
+    snapshot body that does not decode (a store written in an older
+    snapshot format, say) is skipped at open — the consumer
+    cold-starts, never resumes bad state. *)
 
 val find_snapshot : t -> string -> Speccc_runtime.Snapshot.t option
 (** The live snapshot for a key, if its verdict is not yet durable. *)
+
+val wire_harness :
+  t -> Speccc_harness.Harness.config -> Speccc_harness.Harness.config
+(** Point the harness's [store_find]/[store_put] hooks at the store,
+    keyed by {!key} salted with {!salt_of_options} of the harness's
+    options.  Per-request overrides (fuel, deadline, skipped rungs)
+    never touch the salt: they decide whether a definite verdict is
+    reached, not which one is true. *)
 
 val cacheable : Speccc_harness.Harness.doc_result -> bool
 (** [true] exactly for fresh definite verdicts

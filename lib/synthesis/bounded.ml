@@ -208,8 +208,8 @@ let cpre_antichain ?budget auto by_src ~bound ~num_input_bits
     !result
   end
 
-(* A resumable frontier travels as a [speccc-snap1] snapshot tagged with
-   its counting bound and game side.  The decoder is strict: a payload
+(* A resumable frontier travels as an explicit-engine snapshot tagged
+   with its counting bound and game side.  The decoder is strict: a payload
    for another bound or game, or with a cell out of shape, is refused. *)
 let frontier_snapshot ~bound ~game frontier =
   Snapshot.make ~engine:"explicit"

@@ -6,16 +6,13 @@ type strategy = {
   inputs : string list;
   outputs : string list;
   closure : Ltl.t array;            (* obligation index -> formula *)
-  (* The BDD-valued fields are mutable because dynamic reordering
-     rebuilds every live diagram; see [reorder_for_extraction]. *)
-  mutable progression : Bdd.t array; (* V(g): letter vars ∪ next-z vars *)
-  mutable winning : Bdd.t;           (* over current-z vars *)
-  mutable winning_next : Bdd.t;      (* winning renamed to next-z vars *)
+  progression : Bdd.t array;        (* V(g): letter vars ∪ next-z vars *)
+  winning : Bdd.t;                  (* over current-z vars *)
+  winning_next : Bdd.t;             (* winning renamed to next-z vars *)
   initial_indices : int list;
       (* the top-level conjuncts pending at step 0 *)
   num_props : int;
   rounds : int;
-  mutable state : bool array;       (* pending obligations *)
 }
 
 type verdict =
@@ -179,7 +176,6 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
      the bucket of its highest next-state variable, and the variable is
      eliminated immediately afterwards, so no monolithic transition
      relation is ever built. *)
-  let debug = Sys.getenv_opt "SPECCC_DEBUG" <> None in
   (* Controllable predecessor by bucket elimination (as in symbolic
      model checkers with partitioned transition relations): every
      conjunct sits in the bucket of its highest quantifiable variable
@@ -212,24 +208,16 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
     in
     List.iter place conjuncts;
     place target;
-    let peak = ref 0 in
     for v = max_quantifiable downto 0 do
       if is_quantifiable v then begin
         match buckets.(v) with
         | [] -> ()
         | items ->
           let combined = Bdd.and_list manager items in
-          let quantified = Bdd.exists manager [ v ] combined in
-          if debug then peak := max !peak (Bdd.size combined);
-          place quantified
+          place (Bdd.exists manager [ v ] combined)
       end
     done;
-    let all = Bdd.and_list manager !residual in
-    let result = Bdd.forall manager input_vars all in
-    if debug then
-      Printf.eprintf "  cpre: peak bucket=%d residual=%d result=%d nodes=%d\n%!"
-        !peak (Bdd.size all) (Bdd.size result) (Bdd.node_count manager);
-    result
+    Bdd.forall manager input_vars (Bdd.and_list manager !residual)
   in
   let z_groups =
     List.init num_obligations (fun j ->
@@ -280,11 +268,7 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
         | None -> ());
        Speccc_runtime.Budget.checkpoint budget ~stage:"symbolic"
      | None -> ());
-    let t0 = Unix.gettimeofday () in
     let w' = Bdd.and_ manager w (cpre conjuncts w) in
-    if debug then
-      Printf.eprintf "round %d: |W|=%d -> %d (%.2fs)\n%!" rounds (Bdd.size w)
-        (Bdd.size w') (Unix.gettimeofday () -. t0);
     if Bdd.equal w w' then (w, rounds)
     else
       let conjuncts, w' = maybe_reorder conjuncts w' in
@@ -298,9 +282,7 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
   in
   let at_init = Bdd.restrict manager initial_assignment winning in
   if Bdd.is_zero at_init then Unrealizable
-  else begin
-    let state = Array.make num_obligations false in
-    List.iter (fun j -> state.(j) <- true) initial_indices;
+  else
     Realizable
       {
         manager;
@@ -313,66 +295,11 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
         initial_indices;
         num_props;
         rounds;
-        state;
       }
-  end
-
-let pending_constraint strategy state =
-  (* ∧_{j pending} V(g_j): what the current letter and next obligations
-     must satisfy. *)
-  let parts = ref [] in
-  Array.iteri
-    (fun j pending -> if pending then parts := strategy.progression.(j) :: !parts)
-    state;
-  Bdd.and_list strategy.manager !parts
-
-let strategy_step strategy input_assignment =
-  let manager = strategy.manager in
-  let input_restriction =
-    List.mapi
-      (fun i p ->
-         let value =
-           match List.assoc_opt p input_assignment with
-           | Some b -> b
-           | None -> false
-         in
-         (i, value))
-      strategy.inputs
-  in
-  let constraint_bdd =
-    Bdd.and_ manager
-      (pending_constraint strategy strategy.state)
-      strategy.winning_next
-  in
-  let now = Bdd.restrict manager input_restriction constraint_bdd in
-  match Bdd.any_sat now with
-  | None ->
-    (* Should not happen from a winning state; fail loudly. *)
-    invalid_arg "Obligation.strategy_step: no move from winning state"
-  | Some assignment ->
-    let num_inputs = List.length strategy.inputs in
-    let lookup v =
-      match List.assoc_opt v assignment with Some b -> b | None -> false
-    in
-    let outputs =
-      List.mapi
-        (fun i p -> (p, lookup (num_inputs + i)))
-        strategy.outputs
-    in
-    let next_state =
-      Array.init (Array.length strategy.closure) (fun j ->
-          lookup (z_next_var ~num_props:strategy.num_props j))
-    in
-    strategy.state <- next_state;
-    outputs
-
-let strategy_reset strategy =
-  Array.fill strategy.state 0 (Array.length strategy.state) false;
-  List.iter (fun j -> strategy.state.(j) <- true) strategy.initial_indices
 
 (* Controller enumeration over the implicit product.
 
-   The naive extraction calls [strategy_step] once per input valuation:
+   A naive extraction would step the strategy once per input valuation:
    2^|inputs| restrict+any_sat passes per state, each over a per-state
    constraint BDD that conjoins every pending progression.  Building
    those conjunctions dominates extraction — tens of thousands of fresh
@@ -414,7 +341,7 @@ let to_mealy ?(max_states = 4096) strategy =
     let num_vars = num_props + (2 * num_obligations) in
     let lose () =
       (* Should not happen from a winning state; fail loudly. *)
-      invalid_arg "Obligation.strategy_step: no move from winning state"
+      invalid_arg "Obligation.to_mealy: no move from winning state"
     in
     (* Active factor cells: (obligation, root var, root level, diagram),
        lists sorted by root level so the variable to branch on is always
@@ -694,9 +621,11 @@ let to_mealy ?(max_states = 4096) strategy =
           id
         end
     in
-    strategy_reset strategy;
-    let initial = intern (Array.copy strategy.state) in
-    strategy_reset strategy;
+    let initial =
+      let pending = Array.make num_obligations false in
+      List.iter (fun j -> pending.(j) <- true) strategy.initial_indices;
+      intern pending
+    in
     if !overflow then None
     else begin
       let num_states = Hashtbl.length ids in

@@ -46,14 +46,6 @@ val solve :
     index added (rebuild-on-resume: the index is progress telemetry
     for partial verdicts; BDD state itself is reconstructed). *)
 
-val strategy_step :
-  strategy -> (string * bool) list -> (string * bool) list
-(** Drive the extracted controller: feed one input valuation, get the
-    output valuation (the strategy object carries its own mutable
-    current state). *)
-
-val strategy_reset : strategy -> unit
-
 val to_mealy : ?max_states:int -> strategy -> Mealy.t option
 (** Enumerate the reachable strategy states into an explicit Mealy
     machine; [None] if more than [max_states] (default 4096) states or

@@ -99,9 +99,11 @@ let explicit_verdict_of = function
       None,
       "no side won within the bound" )
 
+(* Rung reports carry no wall time of their own: the ladder times each
+   rung around the call and stamps the report it returns. *)
 let explicit_report solve =
-  let (verdict, controller, counterstrategy, detail), wall_time =
-    Runtime.timed (fun () -> explicit_verdict_of (solve ()))
+  let verdict, controller, counterstrategy, detail =
+    explicit_verdict_of (solve ())
   in
   {
     verdict;
@@ -109,7 +111,7 @@ let explicit_report solve =
     controller;
     counterstrategy;
     unsat_core = None;
-    wall_time;
+    wall_time = 0.;
     detail;
     degradation = [];
   }
@@ -169,10 +171,7 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
           | Some _ | None -> (lookahead, None))
        | None -> (lookahead, None))
   in
-  let result, wall_time =
-    Runtime.timed (fun () -> attempt ~completed:start_completed start)
-  in
-  match result with
+  match attempt ~completed:start_completed start with
   | Ok (strategy, bound) ->
     (* Enumerating and minimizing the strategy costs far more than
        solving the game on wide alphabets, and only witness readers
@@ -190,7 +189,7 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
       controller;
       counterstrategy = None;
       unsat_core = None;
-      wall_time;
+      wall_time = 0.;
       detail =
         Printf.sprintf "%s lookahead=%d" (Obligation.stats strategy) bound;
       degradation = [];
@@ -210,17 +209,13 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
       controller = None;
       counterstrategy = None;
       unsat_core = None;
-      wall_time;
+      wall_time = 0.;
       detail;
       degradation = [];
     }
 
 let run_sat ?budget ~inputs ~outputs spec =
-  let result, wall_time =
-    Runtime.timed (fun () ->
-        Satsynth.solve_iterative ?budget ~inputs ~outputs spec)
-  in
-  match result with
+  match Satsynth.solve_iterative ?budget ~inputs ~outputs spec with
   | Satsynth.Realizable machine ->
     {
       verdict = Consistent;
@@ -228,7 +223,7 @@ let run_sat ?budget ~inputs ~outputs spec =
       controller = Some (emit_controller (Minimize.minimize machine));
       counterstrategy = None;
       unsat_core = None;
-      wall_time;
+      wall_time = 0.;
       detail = Satsynth.stats ();
       degradation = [];
     }
@@ -242,7 +237,7 @@ let run_sat ?budget ~inputs ~outputs spec =
       controller = None;
       counterstrategy = None;
       unsat_core = None;
-      wall_time;
+      wall_time = 0.;
       detail = Satsynth.stats ();
       degradation = [];
     }

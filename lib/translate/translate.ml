@@ -6,14 +6,12 @@ type config = {
   lexicon : Lexicon.t;
   dictionary : Antonym.t;
   next_as_x : bool;
-  future_as_eventually : bool;
 }
 
 let default_config () = {
   lexicon = Lexicon.default ();
   dictionary = Antonym.default ();
   next_as_x = false;
-  future_as_eventually = true;
 }
 
 type requirement = {
@@ -155,8 +153,7 @@ let clause_formula config analyses ~resolve_it clause =
      | Some ("always" | "globally") -> Ltl.always base
      | Some "next" -> if config.next_as_x then Ltl.next base else base
      | Some _ | None ->
-       if config.future_as_eventually
-       && is_future_modality clause.Syntax.predicate.Syntax.modality
+       if is_future_modality clause.Syntax.predicate.Syntax.modality
        then Ltl.eventually base
        else base)
 

@@ -23,7 +23,6 @@ type config = {
   lexicon : Speccc_nlp.Lexicon.t;
   dictionary : Speccc_reasoning.Antonym.t;
   next_as_x : bool;              (** default [false] (appendix style) *)
-  future_as_eventually : bool;   (** default [true] *)
 }
 
 val default_config : unit -> config

@@ -190,6 +190,29 @@ let test_localize_memo_prune () =
   Alcotest.(check int) "prune is idempotent" 0
     (Localize.prune_memo memo ~retain:(fun id -> List.mem id keep))
 
+(* Requirements 0 and 1 are the same formula, so subsets that differ
+   only in which copy they hold share one table entry.  The check is
+   extensional, so the localization is the same with a fresh table, a
+   caller's memo, and that memo warm. *)
+let test_localize_duplicate_requirements () =
+  let formulas =
+    [ parse "G (i1 -> o1)";
+      parse "G (i1 -> o1)";
+      parse "G (i2 -> o2)";
+      parse "G (i1 -> !o1)" ]
+  in
+  let without = Localize.run ~check:explicit_check formulas in
+  (match without with
+   | None -> Alcotest.fail "must localize"
+   | Some result ->
+     Alcotest.(check int) "culprit is requirement 3" 3
+       result.Localize.culprit);
+  let memo = Localize.memo () in
+  Alcotest.(check bool) "same with a memo" true
+    (Localize.run ~memo ~check:explicit_check formulas = without);
+  Alcotest.(check bool) "same with the memo warm" true
+    (Localize.run ~memo ~check:explicit_check formulas = without)
+
 (* --- refinement --- *)
 
 let test_refine_partition_fix () =
@@ -519,6 +542,8 @@ let () =
           Alcotest.test_case "no cross-run pollution without memo" `Quick
             test_localize_no_cross_run_pollution;
           Alcotest.test_case "memo prune" `Quick test_localize_memo_prune;
+          Alcotest.test_case "duplicate requirements" `Quick
+            test_localize_duplicate_requirements;
         ] );
       ( "refine",
         [

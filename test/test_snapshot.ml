@@ -1,10 +1,10 @@
-(* Tests for anytime verdicts: the snapshot codec survives round-trips
-   and rejects corruption, slots hand frontiers from one attempt to the
-   next, a resumed localization provably re-checks strictly fewer
-   subsets than a cold one (with an identical answer), a corrupt or
-   mismatched snapshot degrades to a cold start, the memory watermark
-   collapses the Auto ladder with a typed degradation, and the store
-   persists snapshots until a definite verdict supersedes them. *)
+(* Tests for anytime verdicts: the snapshot's JSON conversion survives
+   round-trips and rejects truncation, slots hand frontiers from one
+   attempt to the next, a resumed explicit game matches a cold one
+   (witness included) and a forged frontier cannot flip its verdict,
+   the memory watermark collapses the Auto ladder with a typed
+   degradation, and the store persists snapshots until a definite
+   verdict supersedes them. *)
 
 open Speccc_logic
 open Speccc_core
@@ -14,12 +14,14 @@ open Speccc_store
 
 let parse = Ltl_parse.formula
 
-(* ---------- codec ---------- *)
+(* ---------- JSON conversion ---------- *)
 
-let engines = [ "explicit"; "symbolic"; "sat"; "localize" ]
+module Jsonl = Speccc_json.Jsonl
 
-(* field payloads exercise the percent-escaping: separators, escapes,
-   spaces, control and non-ASCII bytes *)
+let engines = [ "explicit"; "symbolic"; "sat" ]
+
+(* names and values are arbitrary bytes: quotes, backslashes, control
+   and non-ASCII bytes all go through the JSON string escaper *)
 let field_string_gen = QCheck2.Gen.(string_size ~gen:char (0 -- 30))
 
 let snapshot_gen =
@@ -28,21 +30,27 @@ let snapshot_gen =
   let* fields =
     list_size (0 -- 6) (pair field_string_gen field_string_gen)
   in
-  (* field names must be distinct for round-trip comparison; the
-     codec itself keeps duplicates verbatim *)
+  (* distinct names, never the engine tag's own *)
   let fields =
     List.fold_left
       (fun acc (k, v) ->
-         if List.mem_assoc k acc then acc else (k, v) :: acc)
+         if k = "engine" || List.mem_assoc k acc then acc else (k, v) :: acc)
       [] fields
     |> List.rev
   in
   return (Snapshot.make ~engine fields)
 
+let render snap = Jsonl.to_string (Snapshot.to_json snap)
+
+let decode line =
+  match Jsonl.parse line with
+  | Ok json -> Snapshot.of_json json
+  | Error _ -> None
+
 let prop_codec_roundtrip =
   QCheck2.Test.make ~count:500 ~name:"snapshot codec round-trips"
     snapshot_gen (fun snap ->
-        match Snapshot.of_string (Snapshot.to_string snap) with
+        match decode (render snap) with
         | None -> false
         | Some back ->
           Snapshot.engine back = Snapshot.engine snap
@@ -52,35 +60,10 @@ let prop_codec_rejects_truncation =
   QCheck2.Test.make ~count:200 ~name:"truncated snapshot decodes to None"
     QCheck2.Gen.(pair snapshot_gen (0 -- 1000))
     (fun (snap, cut) ->
-       let line = Snapshot.to_string snap in
+       let line = render snap in
        let cut = cut mod String.length line in
-       (* any strict prefix must be rejected (magic, checksum or
-          payload is damaged) *)
-       Snapshot.of_string (String.sub line 0 cut) = None)
-
-let test_codec_rejects_corruption () =
-  let snap =
-    Snapshot.make ~engine:"explicit" [ ("bound", "8"); ("note", "a;b=c%d") ]
-  in
-  let line = Snapshot.to_string snap in
-  Alcotest.(check bool) "pristine line decodes" true
-    (Snapshot.of_string line <> None);
-  let flip i =
-    let b = Bytes.of_string line in
-    Bytes.set b i (if Bytes.get b i = 'x' then 'y' else 'x');
-    Bytes.to_string b
-  in
-  (* damage the magic, the checksum and the payload in turn *)
-  List.iter
-    (fun i ->
-       Alcotest.(check bool)
-         (Printf.sprintf "corrupt byte %d rejected" i)
-         true
-         (Snapshot.of_string (flip i) = None))
-    [ 0; String.length "speccc-snap1|" + 2; String.length line - 1 ];
-  Alcotest.(check bool) "garbage rejected" true
-    (Snapshot.of_string "not a snapshot" = None);
-  Alcotest.(check bool) "empty rejected" true (Snapshot.of_string "" = None)
+       (* a strict prefix of the object is never a whole object *)
+       decode (String.sub line 0 cut) = None)
 
 (* ---------- slots ---------- *)
 
@@ -129,101 +112,6 @@ let test_budget_carries_slot () =
   Budget.publish plain (Snapshot.make ~engine:"sat" []);
   Alcotest.(check bool) "no slot, no resume" true
     (Budget.resume_for plain ~engine:"sat" = None)
-
-(* ---------- localize: preempt-then-resume drill ---------- *)
-
-(* Requirements 1 and 3 demand opposite outputs on the same trigger;
-   the check is a pure set predicate so invocations can be counted
-   without running any engine. *)
-let drill_formulas =
-  [ parse "G (i1 -> o1)";
-    parse "G (i2 -> o2)";
-    parse "G (i3 -> o3)";
-    parse "G (i2 -> !o2)" ]
-
-let counting_check count formulas =
-  incr count;
-  let has f = List.exists (Ltl.equal f) formulas in
-  not (has (List.nth drill_formulas 1) && has (List.nth drill_formulas 3))
-
-let test_resume_skips_checks () =
-  let cold_count = ref 0 in
-  let slot = Snapshot.slot () in
-  let cold =
-    Localize.run ~snapshot:slot ~check:(counting_check cold_count)
-      drill_formulas
-  in
-  Alcotest.(check bool) "cold run localizes" true (cold <> None);
-  Alcotest.(check bool) "cold run ran checks" true (!cold_count > 0);
-  Alcotest.(check bool) "progress was published" true
-    (Snapshot.published_count slot > 0);
-  (* the harness retry path: rearm the slot, run again *)
-  Snapshot.rearm slot;
-  let warm_count = ref 0 in
-  let warm =
-    Localize.run ~snapshot:slot ~check:(counting_check warm_count)
-      drill_formulas
-  in
-  Alcotest.(check bool) "verdict identical after resume" true (warm = cold);
-  Alcotest.(check bool)
-    (Printf.sprintf "resumed run checks strictly fewer subsets (%d < %d)"
-       !warm_count !cold_count)
-    true
-    (!warm_count < !cold_count)
-
-let test_corrupt_snapshot_cold_starts () =
-  let cold_count = ref 0 in
-  let cold =
-    Localize.run ~check:(counting_check cold_count) drill_formulas
-  in
-  let drill name snap =
-    let count = ref 0 in
-    let slot = Snapshot.slot () in
-    Snapshot.set_resume slot (Some snap);
-    let result =
-      Localize.run ~snapshot:slot ~check:(counting_check count)
-        drill_formulas
-    in
-    Alcotest.(check bool) (name ^ ": verdict never wrong") true
-      (result = cold);
-    Alcotest.(check int) (name ^ ": full cold start") !cold_count !count
-  in
-  (* wrong formula count: the snapshot is from some other document *)
-  drill "mismatched n"
-    (Snapshot.make ~engine:"localize"
-       [ ("n", "17"); ("decided", "0:1") ]);
-  (* undecodable decided payload *)
-  drill "garbage decided"
-    (Snapshot.make ~engine:"localize"
-       [ ("n", string_of_int (List.length drill_formulas));
-         ("decided", "!!not-an-encoding!!") ]);
-  (* out-of-range index *)
-  drill "index out of range"
-    (Snapshot.make ~engine:"localize"
-       [ ("n", string_of_int (List.length drill_formulas));
-         ("decided", "9:1") ])
-
-(* a poisoned snapshot claiming everything is consistent still cannot
-   flip the verdict: seeded subsets only short-circuit [check]; the
-   final verdict re-derives from the culprit search over them *)
-let test_forged_snapshot_costs_time_not_soundness () =
-  let slot = Snapshot.slot () in
-  (* forge: every singleton decided "consistent" — true here, so the
-     seed is accepted; the culprit still emerges from larger subsets *)
-  Snapshot.set_resume slot
-    (Some
-       (Snapshot.make ~engine:"localize"
-          [ ("n", string_of_int (List.length drill_formulas));
-            ("decided", "0:1,1:1,2:1,3:1") ]));
-  let count = ref 0 in
-  let result =
-    Localize.run ~snapshot:slot ~check:(counting_check count) drill_formulas
-  in
-  let cold_count = ref 0 in
-  let cold =
-    Localize.run ~check:(counting_check cold_count) drill_formulas
-  in
-  Alcotest.(check bool) "same localization" true (result = cold)
 
 (* ---------- explicit engine: preempt-then-resume drill ---------- *)
 
@@ -403,8 +291,8 @@ let verdict_result doc =
 
 let snap_testable =
   Alcotest.testable
-    (fun ppf s -> Format.pp_print_string ppf (Snapshot.to_string s))
-    (fun a b -> Snapshot.to_string a = Snapshot.to_string b)
+    (fun ppf s -> Format.pp_print_string ppf (render s))
+    (fun a b -> render a = render b)
 
 let test_store_snapshot_roundtrip () =
   with_store_path (fun path ->
@@ -480,10 +368,8 @@ let test_store_corrupt_snapshot_skipped () =
       Store.put_snapshot store ~key:"k"
         (Snapshot.make ~engine:"explicit" [ ("bound", "4") ]);
       Store.close store;
-      (* flip one payload byte inside the snapshot codec line; the
-         frame CRC is over the payload, so recompute a valid frame
-         would be cheating — instead append a well-framed record whose
-         snapshot body is garbage *)
+      (* a flipped byte is the frame CRC's job (test_store); here the
+         frame is sound and only the snapshot body is garbage *)
       let harness_line = "SNAP this-is-not-a-snapshot" in
       let payload = "k2\n" ^ harness_line in
       let frame =
@@ -559,12 +445,12 @@ let prop_antichain_field_roundtrip =
           && List.for_all2 (fun a b -> a = b) decoded antichain
         | None -> false)
        &&
-       (* and through the full line codec, next to ordinary fields *)
+       (* and through the JSON conversion, next to ordinary fields *)
        let snap =
          Snapshot.make ~engine:"explicit"
            [ ("bound", "3"); ("game", "system"); ("frontier", raw) ]
        in
-       match Snapshot.of_string (Snapshot.to_string snap) with
+       match decode (render snap) with
        | None -> false
        | Some back -> Snapshot.field back "frontier" = Some raw)
 
@@ -583,8 +469,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_codec_rejects_truncation;
-          Alcotest.test_case "corruption rejected" `Quick
-            test_codec_rejects_corruption;
           QCheck_alcotest.to_alcotest prop_antichain_field_roundtrip;
           Alcotest.test_case "malformed frontier rejected" `Quick
             test_antichain_field_rejects_malformed;
@@ -598,12 +482,6 @@ let () =
         ] );
       ( "resume-drill",
         [
-          Alcotest.test_case "resumed localize checks fewer subsets"
-            `Quick test_resume_skips_checks;
-          Alcotest.test_case "corrupt snapshot cold-starts" `Quick
-            test_corrupt_snapshot_cold_starts;
-          Alcotest.test_case "forged snapshot cannot flip the verdict"
-            `Quick test_forged_snapshot_costs_time_not_soundness;
           Alcotest.test_case "explicit resume = cold run" `Quick
             test_explicit_resume_matches_cold;
           Alcotest.test_case "forged explicit frontier cannot flip the verdict"
