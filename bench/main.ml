@@ -279,7 +279,7 @@ let ablation_semantic () =
 
 let ablation_engine () =
   Format.printf
-    "@.== Ablation: the three engines on small specs ==@.@.";
+    "@.== Ablation: the two engines on small specs ==@.@.";
   let specs = [
     ("response",      "G (i -> o)");
     ("delayed",       "G (i -> X X o)");
@@ -303,23 +303,16 @@ let ablation_engine () =
                   ignore
                     (Realizability.check ~engine:Realizability.Symbolic
                        ~inputs:[ "i" ] ~outputs:[ "o"; "o2" ] [ f ])));
-           Test.make ~name:(name ^ "/sat")
-             (Staged.stage (fun () ->
-                  ignore
-                    (Satsynth.solve_iterative ~inputs:[ "i" ]
-                       ~outputs:[ "o"; "o2" ] f)));
          ])
       specs
   in
   let time_of = measure_tests tests in
-  Format.printf "%-12s %14s %14s %14s@." "spec" "explicit(s)" "symbolic(s)"
-    "sat(s)";
+  Format.printf "%-12s %14s %14s@." "spec" "explicit(s)" "symbolic(s)";
   List.iter
     (fun (name, _) ->
-       Format.printf "%-12s %14.6f %14.6f %14.6f@." name
+       Format.printf "%-12s %14.6f %14.6f@." name
          (time_of (name ^ "/explicit"))
-         (time_of (name ^ "/symbolic"))
-         (time_of (name ^ "/sat")))
+         (time_of (name ^ "/symbolic")))
     specs
 
 let ablation_lookahead () =

@@ -124,8 +124,8 @@ let fuel_arg =
        & info [ "budget" ]
          ~doc:"Deterministic step budget (fuel) for the synthesis \
                stage.  Exhaustion degrades down the engine fallback \
-               ladder (symbolic, explicit, SAT, lint) instead of \
-               hanging; the degradation steps are reported.")
+               ladder (symbolic, explicit, then the lint floor) instead \
+               of hanging; the degradation steps are reported.")
 
 let deadline_arg =
   Arg.(value & opt (some float) None
@@ -252,9 +252,9 @@ let print_store_stats store =
 
 (* --mem-soft / --mem-hard arm the Gc-alarm watermark monitor: soft
    sheds the memo caches (entries only; the counters survive), hard
-   makes the fallback ladder collapse to its last rung with a typed
-   Degraded("memory", _).  Off by default: fuel determinism must not
-   depend on allocator behaviour. *)
+   makes the fallback ladder collapse to its last rung, explicit, with
+   a typed Degraded("memory", _).  Off by default: fuel determinism
+   must not depend on allocator behaviour. *)
 let mem_soft_arg =
   Arg.(value & opt (some int) None
        & info [ "mem-soft" ] ~docv:"MB"
@@ -266,8 +266,9 @@ let mem_hard_arg =
   Arg.(value & opt (some int) None
        & info [ "mem-hard" ] ~docv:"MB"
          ~doc:"Hard memory watermark in MB of major heap: while above \
-               it the engine fallback ladder skips straight to its \
-               cheapest rung, reporting the skipped rungs as \
+               it the engine fallback ladder skips straight to its last \
+               rung, the explicit game (documents too wide for it fall \
+               to the lint floor), reporting the skipped rungs as \
                $(i,Degraded(memory, ...)).")
 
 let setup_memwatch soft hard =

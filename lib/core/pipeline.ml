@@ -138,19 +138,26 @@ let lint_floor ~budget formulas (report : Realizability.report) =
          report with
          Realizability.verdict =
            Realizability.Inconclusive
-             "all engines degraded under the budget; lint found no conflict";
+             (Realizability.all_degraded report.Realizability.degradation
+              ^ "; lint found no conflict");
          wall_time = report.Realizability.wall_time +. wall;
          degradation =
            report.Realizability.degradation
            @ [ rung "completed: no conflicts found" None ];
        })
   | Error error ->
+    let outcome =
+      match error with
+      | Speccc_runtime.Runtime.Fuel_exhausted stage ->
+        Printf.sprintf "%s: the %d-step lint reserve ran out" stage
+          lint_reserve_fuel
+      | _ -> Speccc_runtime.Runtime.to_string error
+    in
     {
       report with
       Realizability.wall_time = report.Realizability.wall_time +. wall;
       degradation =
-        report.Realizability.degradation
-        @ [ rung (Speccc_runtime.Runtime.to_string error) (Some error) ];
+        report.Realizability.degradation @ [ rung outcome (Some error) ];
     }
 
 (* A wall-clock deadline or cancellation aborts the ladder with a

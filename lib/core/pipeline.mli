@@ -1,8 +1,10 @@
 (** The SpecCC pipeline (Fig. 1): natural-language requirements are
     translated to LTL (stage 1, with semantic reasoning and time
     abstraction), partitioned into inputs/outputs, and checked for
-    consistency by LTL synthesis (stage 2).  Stage 3 — refinement — is
-    provided by {!Localize} and {!Refine}. *)
+    consistency by LTL synthesis (stage 2: the engine ladder symbolic →
+    explicit of {!Speccc_synthesis.Realizability.check}, with a lint
+    pass as its floor).  Stage 3 — refinement — is provided by
+    {!Localize} and {!Refine}. *)
 
 type options = {
   translate : Speccc_translate.Translate.config;
@@ -24,8 +26,9 @@ type options = {
   cancel : Speccc_runtime.Cancellation.token option;
       (** cooperative cancellation, polled at budget checkpoints *)
   skip_engines : string list;
-      (** ladder rungs (by name: ["symbolic"], ["explicit"], ["sat"])
-          to bypass in this run — the serve mode's circuit breakers
+      (** ladder rungs (by name, from
+          {!Speccc_synthesis.Realizability.rung_names}) to bypass in
+          this run — the serve mode's circuit breakers
           set this while a rung's breaker is open; ignored when
           [engine] is forced. *)
   recover : bool;

@@ -22,12 +22,8 @@ let pp_divergence ppf { oracle; detail } =
 let fstr f = Ltl_print.to_string ~syntax:Ltl_print.Ascii f
 
 (* Fuel, not wall clock: verdicts (and therefore fuzz results for a
-   given seed) must not depend on machine speed.  The SAT rung gets a
-   much smaller pool — on unrealizable specs it can only burn its
-   whole budget escalating machine bounds (it never refutes), and a
-   few thousand steps already let it certify the realizable ones. *)
+   given seed) must not depend on machine speed. *)
 let engine_fuel = 100_000
-let sat_fuel = 5_000
 let tableau_fuel = 200_000
 
 (* ------------------------------------------------------------------ *)
@@ -44,11 +40,6 @@ let run_engines ~inputs ~outputs formulas =
     ("symbolic",
      R.check ~budget:(fresh ()) ~engine:R.Symbolic ~witness:true ~inputs
        ~outputs formulas);
-    ("sat",
-     R.check
-       ~budget:(Budget.create ~fuel:sat_fuel ())
-       ~skip:[ "symbolic"; "explicit" ] ~witness:true
-       ~inputs ~outputs formulas);
   ]
 
 (* Is this Inconsistent verdict one the trust rules accept as sound? *)
@@ -70,15 +61,6 @@ let engines_differential ~inputs ~outputs ~template formulas =
   let inconsistent =
     List.filter (fun (_, r) -> r.R.verdict = R.Inconsistent) reports
   in
-  (* The SAT rung can only certify machines, never refute: an
-     Inconsistent from it (without a lint core) is wrong by
-     construction. *)
-  List.iter
-    (fun (label, r) ->
-       if label = "sat" && r.R.engine_used = "sat" && r.R.unsat_core = None
-       then
-         add (div "engines" "SAT rung emitted Inconsistent without a core"))
-    inconsistent;
   (* Sound verdicts must not conflict. *)
   (match consistent, List.filter (trusted_inconsistent ~template) reports with
    | (cl, _) :: _, (il, _) :: _ ->

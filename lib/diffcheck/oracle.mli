@@ -6,7 +6,7 @@
     every applicable oracle.
 
     Trust rules for the engine differential (soundness asymmetry of
-    the three engines):
+    the two engines):
     - [Consistent] is sound from {e every} engine (it ships a
       controller), so it may always be held against a trusted
       [Inconsistent].
@@ -15,8 +15,6 @@
       unsat core (tableau-proved); from the symbolic engine it is
       trusted only on template-class specs (the translator fragment,
       where the obligation game is complete).
-    - The SAT rung never proves [Inconsistent]; if it does anyway,
-      that alone is a divergence.
     - Closed specs (no inputs) reduce realizability to satisfiability,
       so the tableau ({!Speccc_lint.Lint.satisfiable}) and — on tiny
       alphabets — exhaustive lasso enumeration

@@ -198,7 +198,6 @@ module Checkpoint = struct
     register "engine.symbolic" "BDD obligation-game engine entry"
   let engine_explicit =
     register "engine.explicit" "explicit bounded-synthesis engine entry"
-  let engine_sat = register "engine.sat" "SAT bounded-machine engine entry"
   let pipeline_lint =
     register "pipeline.lint" "lint pass entry (the ladder's floor)"
   let witness_controller =

@@ -122,7 +122,6 @@ module Checkpoint : sig
   val bdd_fixpoint : string
   val engine_symbolic : string
   val engine_explicit : string
-  val engine_sat : string
   val pipeline_lint : string
 
   val witness_controller : string

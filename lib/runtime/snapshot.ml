@@ -13,7 +13,7 @@
    to a cold start — never to wrong state. *)
 
 type t = {
-  engine : string;               (* "explicit" | "symbolic" | "sat" *)
+  engine : string;               (* "symbolic" | "explicit" *)
   fields : (string * string) list;
 }
 

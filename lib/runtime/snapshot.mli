@@ -1,10 +1,10 @@
 (** Serializable progress frontiers for anytime verdicts.
 
     A snapshot records how far a long-running engine search got — the
-    explicit game's escalation bound, the symbolic fixpoint's layer,
-    the SAT search's machine size — as an engine-tagged key/value
-    record.  Its one serialization is a JSON object ({!to_json}), the
-    same object the journal, serve responses and the verdict store's
+    explicit game's escalation bound, the symbolic fixpoint's layer
+    and completed look-ahead — as an engine-tagged key/value record.
+    Its one serialization is a JSON object ({!to_json}), the same
+    object the journal, serve responses and the verdict store's
     snapshot records carry.  Supervisors carry the last published
     snapshot across a preemption (watchdog trip, harness retry, worker
     respawn) so the next attempt resumes instead of cold-starting.
@@ -21,7 +21,7 @@ type t
 
 val make : engine:string -> (string * string) list -> t
 (** [make ~engine fields].  [engine] is the producing rung
-    ("explicit", "symbolic", "sat"). *)
+    ("symbolic", "explicit"). *)
 
 val engine : t -> string
 val fields : t -> (string * string) list

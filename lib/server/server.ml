@@ -706,7 +706,7 @@ let make_pool config output =
           (fun rung ->
              Breaker.create ~rung ~threshold:config.breaker_threshold
                ~cooldown:config.breaker_cooldown)
-          [ "symbolic"; "explicit"; "sat" ];
+          Realizability.rung_names;
       out_lock = Mutex.create ();
       output;
       journal_lock = Mutex.create ();

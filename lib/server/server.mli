@@ -45,8 +45,9 @@
     wall seconds ([grace] is clamped to [deadline], so within 2x the
     deadline).
 
-    Per-engine-rung circuit {!Breaker}s skip ladder rungs that keep
-    raising [Engine_failure].  Drain — EOF on the input, a [shutdown]
+    Per-rung circuit {!Breaker}s, one for each name in
+    {!Speccc_synthesis.Realizability.rung_names}, skip ladder rungs that
+    keep raising [Engine_failure].  Drain — EOF on the input, a [shutdown]
     request, or the [stop] flag (wired to SIGTERM/SIGINT by the CLI) —
     finishes in-flight and queued work, flushes the journal, and
     returns; wedged workers are waited on for [drain_wait] seconds,

@@ -57,14 +57,18 @@ let emit_core core =
 
 (* ---------- degradation-log hygiene ---------- *)
 
-let rung_rank = function
-  | "symbolic" -> 0
-  | "explicit" -> 1
-  | "sat" -> 2
-  | "lint" -> 3
-  | "certify" -> 4
-  | "ladder" -> 5
-  | _ -> 6
+let stage_name = function
+  | `Symbolic -> "symbolic"
+  | `Explicit -> "explicit"
+
+let rung_names = List.map stage_name [ `Symbolic; `Explicit ]
+
+(* Ladder rungs first, then the pipeline's floor and checks, then
+   anything else. *)
+let rung_rank name =
+  let order = rung_names @ [ "lint"; "certify"; "ladder" ] in
+  Option.value ~default:(List.length order)
+    (List.find_index (String.equal name) order)
 
 let dedup_degradation rungs =
   let seen = Hashtbl.create 8 in
@@ -81,6 +85,18 @@ let canonical_degradation report =
   dedup_degradation report.degradation
   |> List.stable_sort (fun a b ->
       compare (rung_rank a.rung_engine) (rung_rank b.rung_engine))
+
+let all_degraded rungs =
+  let starved =
+    List.exists
+      (fun rung ->
+         match rung.rung_error with
+         | Some error -> Runtime.is_resource error
+         | None -> false)
+      rungs
+  in
+  if starved then "all engines degraded or inconclusive under the budget"
+  else "all engines degraded or inconclusive"
 
 let explicit_verdict_of = function
   | Bounded.Realizable controller ->
@@ -214,34 +230,6 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
       degradation = [];
     }
 
-let run_sat ?budget ~inputs ~outputs spec =
-  match Satsynth.solve_iterative ?budget ~inputs ~outputs spec with
-  | Satsynth.Realizable machine ->
-    {
-      verdict = Consistent;
-      engine_used = "sat";
-      controller = Some (emit_controller (Minimize.minimize machine));
-      counterstrategy = None;
-      unsat_core = None;
-      wall_time = 0.;
-      detail = Satsynth.stats ();
-      degradation = [];
-    }
-  | Satsynth.No_machine_within { states; bound } ->
-    {
-      verdict =
-        Inconclusive
-          (Printf.sprintf "no Mealy machine with <= %d states (bound %d)"
-             states bound);
-      engine_used = "sat";
-      controller = None;
-      counterstrategy = None;
-      unsat_core = None;
-      wall_time = 0.;
-      detail = Satsynth.stats ();
-      degradation = [];
-    }
-
 let spec_of ~assumptions requirements =
   let guarantees = Ltl.conj_list requirements in
   match assumptions with
@@ -255,13 +243,7 @@ let ladder_stages ~assumptions =
      temporal disjunction introduced by assumptions (it could report a
      spurious loss, which the ladder would trust as Inconsistent), so
      assumption-carrying checks start at the exact explicit engine. *)
-  if assumptions = [] then [ `Symbolic; `Explicit; `Sat ]
-  else [ `Explicit; `Sat ]
-
-let stage_name = function
-  | `Symbolic -> "symbolic"
-  | `Explicit -> "explicit"
-  | `Sat -> "sat"
+  if assumptions = [] then [ `Symbolic; `Explicit ] else [ `Explicit ]
 
 let inconclusive ~engine_used ~detail why =
   {
@@ -300,7 +282,6 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
       explicit_report (fun () ->
           Bounded.solve ~budget:rung_budget ?session:explicit_session
             ~max_bound:bound ~inputs ~outputs formulas)
-    | `Sat -> run_sat ~budget:rung_budget ~inputs ~outputs spec
   in
   let forced = engine <> Auto in
   let stages =
@@ -323,10 +304,10 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
          else Left stage)
       stages
   in
-  (* Hard memory watermark: under heap pressure the game engines'
-     state spaces (explicit position tables, BDD node stores) are the
-     liability, so the ladder collapses to its lowest-memory rung —
-     bounded SAT synthesis — and logs the higher rungs as typed
+  (* Hard memory watermark: under heap pressure the ladder sheds every
+     rung but its last — the explicit game, which its letter budget
+     keeps to small alphabets; wider documents skip it too and fall to
+     the pipeline's lint floor — and logs the shed rungs as typed
      memory degradations.  Only the [Auto] ladder degrades. *)
   let stages, skipped =
     match List.rev stages with
@@ -378,9 +359,7 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
         | Some report -> (report.detail, report.engine_used)
         | None -> ("every engine in the ladder degraded", "none")
       in
-      finish log
-        (inconclusive ~engine_used ~detail
-           "all engines degraded or inconclusive under the budget")
+      finish log (inconclusive ~engine_used ~detail (all_degraded log))
     | `Explicit :: rest when not (Bounded.fits ~inputs ~outputs ()) ->
       (* inapplicable, forced or not: recorded only once reached *)
       let why =

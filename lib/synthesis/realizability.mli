@@ -4,16 +4,17 @@
     input propositions and driving the output propositions exists
     (Sec. V-A).
 
-    Three engines form one fallback ladder, run by {!check}:
+    Two engines form one fallback ladder, run by {!check}; both
+    mirror the paper's engine, G4LTL, a bounded-synthesis tool that
+    bounds eventualities with a look-ahead (Sec. V-A):
     - [Symbolic]: BDD obligation game ({!Obligation}); liveness is
       first strengthened to [lookahead]-bounded eventualities, exactly
       as G4LTL's unroll parameter does.
     - [Explicit]: exact bounded synthesis with a dual-game
-      unrealizability check ({!Bounded}); cost is exponential in the
-      number of propositions, so the rung is skipped when the alphabet
-      exceeds the engine's letter budget ({!Bounded.fits}).
-    - the SAT-based bounded-machine search ({!Satsynth}), the last
-      rung.
+      unrealizability check ({!Bounded}), the last rung; cost is
+      exponential in the number of propositions, so the rung is
+      skipped when the alphabet exceeds the engine's letter budget
+      ({!Bounded.fits}).
 
     [Auto] runs the whole ladder; forcing [Explicit] or [Symbolic]
     runs that single rung. *)
@@ -27,7 +28,9 @@ type verdict =
       (** bound/lookahead exhausted; the string says which limit *)
 
 type rung = {
-  rung_engine : string;       (** ["symbolic"], ["explicit"], ["sat"] *)
+  rung_engine : string;
+      (** a ladder rung ({!rung_names}), or a stage the pipeline
+          appends: ["lint"], ["certify"], ["ladder"] *)
   rung_outcome : string;      (** why the ladder moved past this rung *)
   rung_error : Speccc_runtime.Runtime.error option;
       (** present when the rung failed or ran out of resources;
@@ -74,6 +77,17 @@ val emit_core : int list -> int list
     pipeline's lint floor; exposed so every witness emission point
     shares one drill mechanism). *)
 
+val rung_names : string list
+(** The ladder's rung names in ladder order: [["symbolic"; "explicit"]].
+    These are the names [skip] accepts and the [rung_engine] of the
+    ladder's own rungs. *)
+
+val all_degraded : rung list -> string
+(** The explanation of a verdict that no rung concluded: "all engines
+    degraded or inconclusive", followed by "under the budget" only when
+    some logged rung ran out of a resource
+    ({!Speccc_runtime.Runtime.is_resource}). *)
+
 val dedup_degradation : rung list -> rung list
 (** Keep the first rung per engine, preserving order — the
     once-per-engine invariant {!check} maintains, exposed for
@@ -81,7 +95,7 @@ val dedup_degradation : rung list -> rung list
 
 val canonical_degradation : report -> rung list
 (** The degradation log in canonical rendering order: deduplicated,
-    stably sorted by ladder position (symbolic, explicit, sat, lint,
+    stably sorted by ladder position (symbolic, explicit, lint,
     certify, ladder, then anything else).  CLI printers use this so a
     given report always renders identically. *)
 
@@ -104,7 +118,7 @@ val check :
     bound for the explicit engine), [budget] unlimited.
 
     {b The ladder.}  Under [Auto] the rungs run in the order symbolic
-    → explicit → SAT, or explicit → SAT when [assumptions] are given.
+    → explicit, or explicit alone when [assumptions] are given.
     The first definite verdict ends the ladder; a rung's fuel
     exhaustion, engine failure or inconclusive verdict drops to the
     next rung and is recorded in [report.degradation].  Forcing
@@ -125,8 +139,8 @@ val check :
     [Inconsistent], which carries no counterstrategy, continues to the
     explicit rung when it is still in the ladder and returns its
     counterstrategy-carrying report; if that rung cannot produce one,
-    the symbolic report stands.  The explicit and SAT rungs always
-    carry their witnesses, which come out of the solve itself.
+    the symbolic report stands.  The explicit rung always carries its
+    witness, which comes out of the solve itself.
     Callers that never read the witness (subset checks, uncertified
     requests) leave [witness] unset and pay for neither the controller
     extraction nor the explicit dual game.
@@ -138,7 +152,7 @@ val check :
     ["skipped:"].  [skip] is ignored when [engine] is forced; skipping
     every rung yields the same [Inconclusive] report as a ladder whose
     every rung degraded.  Under the hard memory watermark the [Auto]
-    ladder collapses to its last rung.
+    ladder collapses to its last rung, the explicit one.
 
     The explicit rung is one {!Bounded.solve} call: over the
     requirement list (one block per requirement), or over the single

@@ -77,8 +77,7 @@ let test_certifies_unsat_core () =
   in
   with_faults
     [ fail_at Fault.Checkpoint.engine_symbolic;
-      fail_at Fault.Checkpoint.engine_explicit;
-      fail_at Fault.Checkpoint.engine_sat ]
+      fail_at Fault.Checkpoint.engine_explicit ]
     (fun () ->
        let outcome =
          Pipeline.run
@@ -146,7 +145,6 @@ let test_corrupted_core_downgrades () =
   with_faults
     [ fail_at Fault.Checkpoint.engine_symbolic;
       fail_at Fault.Checkpoint.engine_explicit;
-      fail_at Fault.Checkpoint.engine_sat;
       corrupt_at Fault.Checkpoint.witness_core ]
     (fun () ->
        let outcome =

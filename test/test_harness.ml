@@ -339,7 +339,7 @@ let result_gen =
       (map2
          (fun engine fields ->
             Speccc_runtime.Snapshot.make ~engine fields)
-         (oneofl [ "explicit"; "symbolic"; "sat" ])
+         (oneofl [ "explicit"; "symbolic" ])
          (list_size (0 -- 3) (pair (oneofl [ "bound"; "round" ]) bytes)))
   in
   map

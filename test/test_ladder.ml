@@ -188,6 +188,30 @@ let test_warm_cold_exhaustion () =
   Alcotest.(check bool) "some run exhausted inside the tableau" true
     !in_tableau
 
+(* The symbolic rung loses at every lookahead it tries on this
+   document, and the explicit dual game needs most of a 100 000-step
+   budget to refute it.  As the last rung it gets everything the
+   symbolic rung left, so the budgeted verdict is the unbudgeted one. *)
+let test_last_rung_gets_the_rest () =
+  let inputs = [ "lost"; "req" ] and outputs = [ "inflate" ] in
+  let formulas =
+    [ parse "G (!lost -> X X X !inflate)";
+      parse "G (!lost && req -> F inflate)";
+      parse "G (!lost && !req -> F inflate)" ]
+  in
+  let report =
+    Realizability.check ~budget:(Budget.create ~fuel:100_000 ()) ~inputs
+      ~outputs formulas
+  in
+  Alcotest.(check string) "verdict" "inconsistent"
+    (verdict_class report.Realizability.verdict);
+  Alcotest.(check string) "engine" "explicit"
+    report.Realizability.engine_used;
+  match Certify.apply ~assumptions:[] formulas report with
+  | _, Certify.Certified _ -> ()
+  | _, (Certify.Rejected why | Certify.No_witness why) ->
+    Alcotest.fail ("counterstrategy not certified: " ^ why)
+
 let () =
   Alcotest.run "ladder"
     [
@@ -201,5 +225,7 @@ let () =
             test_cross_entry_identity ] );
       ( "fuel",
         [ Alcotest.test_case "warm and cold caches exhaust alike" `Quick
-            test_warm_cold_exhaustion ] );
+            test_warm_cold_exhaustion;
+          Alcotest.test_case "the last rung gets the rest of the fuel"
+            `Quick test_last_rung_gets_the_rest ] );
     ]

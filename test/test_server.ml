@@ -158,7 +158,7 @@ let test_breaker_opens_after_consecutive_failures () =
   Alcotest.(check int) "one open" 1 (Breaker.opens b)
 
 let test_breaker_half_open_probe () =
-  let b = Breaker.create ~rung:"sat" ~threshold:1 ~cooldown:10. in
+  let b = Breaker.create ~rung:"explicit" ~threshold:1 ~cooldown:10. in
   Breaker.record_failure b ~now:0.;
   Alcotest.(check string) "open" "open" (Breaker.state_name b);
   (* cooldown passed: exactly one caller becomes the probe *)

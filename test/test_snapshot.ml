@@ -18,7 +18,7 @@ let parse = Ltl_parse.formula
 
 module Jsonl = Speccc_json.Jsonl
 
-let engines = [ "explicit"; "symbolic"; "sat" ]
+let engines = [ "explicit"; "symbolic" ]
 
 (* names and values are arbitrary bytes: quotes, backslashes, control
    and non-ASCII bytes all go through the JSON string escaper *)
@@ -87,7 +87,7 @@ let test_slot_semantics () =
     (Snapshot.resume_for slot ~engine:"explicit" = None);
   Snapshot.rearm slot;
   Alcotest.(check bool) "engine mismatch yields None" true
-    (Snapshot.resume_for slot ~engine:"sat" = None);
+    (Snapshot.resume_for slot ~engine:"symbolic" = None);
   (match Snapshot.resume_for slot ~engine:"explicit" with
    | Some s -> Alcotest.(check (option int)) "armed frontier" (Some 4)
                  (Snapshot.int_field s "bound")
@@ -98,20 +98,21 @@ let test_budget_carries_slot () =
   let slot = Snapshot.slot () in
   let budget = Budget.create ~fuel:1000 ~snapshot:slot () in
   let child = Budget.child budget ~fuel:100 in
-  Budget.publish child (Snapshot.make ~engine:"sat" [ ("states", "3") ]);
+  Budget.publish child
+    (Snapshot.make ~engine:"symbolic" [ ("lookahead", "12") ]);
   (match Snapshot.latest slot with
    | Some s ->
-     Alcotest.(check string) "child publishes to parent slot" "sat"
+     Alcotest.(check string) "child publishes to parent slot" "symbolic"
        (Snapshot.engine s)
    | None -> Alcotest.fail "child publish must reach the slot");
   Snapshot.rearm slot;
   Alcotest.(check bool) "resume visible through the budget" true
-    (Budget.resume_for child ~engine:"sat" <> None);
+    (Budget.resume_for child ~engine:"symbolic" <> None);
   (* a budget without a slot is inert on both sides *)
   let plain = Budget.unlimited () in
-  Budget.publish plain (Snapshot.make ~engine:"sat" []);
+  Budget.publish plain (Snapshot.make ~engine:"symbolic" []);
   Alcotest.(check bool) "no slot, no resume" true
-    (Budget.resume_for plain ~engine:"sat" = None)
+    (Budget.resume_for plain ~engine:"symbolic" = None)
 
 (* ---------- explicit engine: preempt-then-resume drill ---------- *)
 
@@ -320,7 +321,7 @@ let test_store_snapshot_roundtrip () =
 
 let test_store_verdict_supersedes_snapshot () =
   with_store_path (fun path ->
-      let snap = Snapshot.make ~engine:"sat" [ ("states", "3") ] in
+      let snap = Snapshot.make ~engine:"symbolic" [ ("lookahead", "12") ] in
       let store = Store.open_ path in
       Store.put_snapshot store ~key:"k" snap;
       Store.put store ~key:"k" (verdict_result "k");

@@ -540,98 +540,6 @@ let test_testgen_reference_passes_mutant_fails () =
   Alcotest.(check bool) "mutant detected" true
     (List.exists (fun test -> Testgen.run_against mutant test <> None) suite)
 
-(* --- SAT-based bounded synthesis (third engine) --- *)
-
-let test_satsynth_simple () =
-  (match
-     Satsynth.solve_iterative ~inputs:[ "i" ] ~outputs:[ "o" ]
-       (parse "G (i -> o)")
-   with
-   | Satsynth.Realizable machine ->
-     Alcotest.(check bool) "controller verifies" true
-       (Verify.check machine (parse "G (i -> o)") = Verify.Holds)
-   | Satsynth.No_machine_within _ ->
-     Alcotest.fail "G(i -> o) admits a one-state machine");
-  (* a delayed exact response needs machine memory (a constant output
-     cannot satisfy the biconditional) *)
-  match
-    Satsynth.solve_iterative ~inputs:[ "i" ] ~outputs:[ "o" ]
-      (parse "G (i <-> X o)")
-  with
-  | Satsynth.Realizable machine ->
-    Alcotest.(check bool) "delayed controller verifies" true
-      (Verify.check machine (parse "G (i <-> X o)") = Verify.Holds);
-    Alcotest.(check bool) "needs more than one state" true
-      (machine.Mealy.num_states > 1)
-  | Satsynth.No_machine_within _ ->
-    Alcotest.fail "G(i <-> Xo) is realizable"
-
-let test_satsynth_unrealizable_stays_unsat () =
-  match
-    Satsynth.solve_iterative ~inputs:[ "i" ] ~outputs:[ "o" ]
-      (parse "G (o <-> X i)")
-  with
-  | Satsynth.Realizable _ ->
-    Alcotest.fail "clairvoyance cannot have a machine"
-  | Satsynth.No_machine_within { states; _ } ->
-    Alcotest.(check bool) "escalated" true (states >= 8)
-
-(* Keep the instances small: the UNSAT side of the encoding grows
-   quickly (machine states × valuations × automaton edges), and CDCL
-   proofs of unrealizability can be expensive. *)
-let small_fragment_gen =
-  let open QCheck2.Gen in
-  let input_literal =
-    map2 (fun n b -> if b then Ltl.prop n else Ltl.neg (Ltl.prop n))
-      (oneofl [ "i1" ]) bool
-  in
-  let output_literal =
-    map2 (fun n b -> if b then Ltl.prop n else Ltl.neg (Ltl.prop n))
-      (oneofl [ "o1"; "o2" ]) bool
-  in
-  let response =
-    oneof [ output_literal; map Ltl.next output_literal;
-            map Ltl.eventually output_literal ]
-  in
-  let requirement =
-    map2 (fun g r -> Ltl.always (Ltl.implies g r)) input_literal response
-  in
-  list_size (int_range 1 2) requirement
-
-let prop_satsynth_agrees_with_game_engine =
-  QCheck2.Test.make ~count:15
-    ~name:"SAT-based and game-based bounded synthesis agree"
-    small_fragment_gen
-    (fun requirements ->
-       let inputs = [ "i1" ] and outputs = [ "o1"; "o2" ] in
-       let spec = Ltl.conj_list requirements in
-       let game_verdict =
-         match Bounded.solve ~inputs ~outputs [ spec ] with
-         | Bounded.Realizable _ -> `Yes
-         | Bounded.Unrealizable _ -> `No
-         | Bounded.Unknown _ -> `Maybe
-       in
-       let sat_verdict =
-         match
-           Satsynth.solve_iterative ~bound:3 ~max_machine_states:4 ~inputs
-             ~outputs spec
-         with
-         | Satsynth.Realizable machine ->
-           (* SAT answers come with a witness; it must verify *)
-           if Verify.check machine spec = Verify.Holds then `Yes
-           else `Broken
-         | Satsynth.No_machine_within _ -> `Maybe_no
-       in
-       match game_verdict, sat_verdict with
-       | _, `Broken -> false
-       | `Yes, `Maybe_no ->
-         (* the SAT engine's machine-size cap can genuinely run out on
-            specs whose minimal controller is large; only flag clear
-            contradictions *)
-         true
-       | `No, `Yes -> false
-       | _ -> true)
-
 (* --- minimization --- *)
 
 let test_minimize_shrinks_and_preserves () =
@@ -920,13 +828,6 @@ let () =
           Alcotest.test_case "coverage" `Quick test_testgen_full_coverage;
           Alcotest.test_case "mutant detection" `Quick
             test_testgen_reference_passes_mutant_fails;
-        ] );
-      ( "satsynth",
-        [
-          Alcotest.test_case "simple" `Quick test_satsynth_simple;
-          Alcotest.test_case "unrealizable" `Quick
-            test_satsynth_unrealizable_stays_unsat;
-          QCheck_alcotest.to_alcotest prop_satsynth_agrees_with_game_engine;
         ] );
       ( "minimize",
         [
