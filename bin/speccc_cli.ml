@@ -493,9 +493,9 @@ let batch_cmd =
   let retries_arg =
     Arg.(value & opt int 2
          & info [ "retries" ]
-           ~doc:"Extra attempts per document after the first, each \
-                 under half the previous budget with exponential \
-                 backoff in between.")
+           ~doc:"Extra attempts per document after a failure outside \
+                 the engine ladder, each under the same budget with \
+                 exponential backoff in between.")
   in
   let jobs_arg =
     Arg.(value & opt int 1
@@ -633,9 +633,9 @@ let serve_cmd =
   let retries_arg =
     Arg.(value & opt int 2
          & info [ "retries" ]
-           ~doc:"Extra attempts per request after the first, each \
-                 under half the previous budget (abandoned once the \
-                 request's watchdog trips).")
+           ~doc:"Extra attempts per request after a failure outside \
+                 the engine ladder, each under the same budget \
+                 (abandoned once the request's watchdog trips).")
   in
   let run socket workers queue high_water deadline grace journal
       breaker_threshold breaker_cooldown engine lookahead time_budget fuel

@@ -70,116 +70,17 @@ let make_budget options =
     ?deadline_in:options.deadline ?cancel:options.cancel
     ?snapshot:options.snapshot ()
 
-(* The ladder's floor: when every synthesis engine degraded, a lint
-   pass can still return a sound verdict — an unsatisfiable requirement
-   or a conflicting pair refutes realizability outright.  The pass runs
-   on a small reserve of fuel of its own, because it is exactly the
-   engines' fuel that is gone; a partial verdict beats none.  The
-   reserve keeps the check's deadline and cancellation token. *)
-let lint_reserve_fuel = 20_000
-
 (* Fuel reserved for re-checking witnesses when [options.certify]: the
    tableau re-check of an unsat core is the only validator that can
    genuinely blow up. *)
 let certify_reserve_fuel = 50_000
 
-let lint_floor ~budget formulas (report : Realizability.report) =
-  let reserve =
-    Speccc_runtime.Budget.reserve budget ~fuel:lint_reserve_fuel
-  in
-  let result, wall =
-    Speccc_runtime.Runtime.timed (fun () ->
-        Speccc_runtime.Runtime.guard ~stage:"lint" (fun () ->
-            Speccc_lint.Lint.check ~budget:reserve formulas))
-  in
-  let rung outcome error =
-    {
-      Realizability.rung_engine = "lint";
-      rung_outcome = outcome;
-      rung_error = error;
-      rung_wall = wall;
-    }
-  in
-  match result with
-  | Ok findings ->
-    let conflict =
-      List.find_opt
-        (function
-          | Speccc_lint.Lint.Unsatisfiable _
-          | Speccc_lint.Lint.Pair_conflict _ ->
-            true
-          | Speccc_lint.Lint.Valid _ | Speccc_lint.Lint.Vacuous_guard _ ->
-            false)
-        findings
-    in
-    (match conflict with
-     | Some finding ->
-       let detail =
-         Format.asprintf "%a"
-           (Speccc_lint.Lint.pp_finding ~requirement_text:(fun _ -> None))
-           finding
-       in
-       let core =
-         match finding with
-         | Speccc_lint.Lint.Unsatisfiable i -> [ i ]
-         | Speccc_lint.Lint.Pair_conflict (i, j, _) -> [ i; j ]
-         | Speccc_lint.Lint.Valid _ | Speccc_lint.Lint.Vacuous_guard _ -> []
-       in
-       {
-         report with
-         Realizability.verdict = Realizability.Inconsistent;
-         engine_used = "lint";
-         unsat_core = Some (Realizability.emit_core core);
-         wall_time = report.Realizability.wall_time +. wall;
-         detail;
-       }
-     | None ->
-       {
-         report with
-         Realizability.verdict =
-           Realizability.Inconclusive
-             (Realizability.all_degraded report.Realizability.degradation
-              ^ "; lint found no conflict");
-         wall_time = report.Realizability.wall_time +. wall;
-         degradation =
-           report.Realizability.degradation
-           @ [ rung "completed: no conflicts found" None ];
-       })
-  | Error error ->
-    let outcome =
-      match error with
-      | Speccc_runtime.Runtime.Fuel_exhausted stage ->
-        Printf.sprintf "%s: the %d-step lint reserve ran out" stage
-          lint_reserve_fuel
-      | _ -> Speccc_runtime.Runtime.to_string error
-    in
-    {
-      report with
-      Realizability.wall_time = report.Realizability.wall_time +. wall;
-      degradation =
-        report.Realizability.degradation @ [ rung outcome (Some error) ];
-    }
-
-(* A wall-clock deadline or cancellation aborts the ladder with a
-   single "ladder" rung: too late even for the lint floor. *)
-let aborted (report : Realizability.report) =
-  List.exists
-    (fun rung -> rung.Realizability.rung_engine = "ladder")
-    report.Realizability.degradation
-
 let synthesize options ~budget ?explicit_session ?(assumptions = [])
     ~inputs ~outputs formulas =
-  let report =
-    Realizability.check ~budget ~engine:options.engine
-      ~lookahead:options.lookahead ~bound:options.bound
-      ~skip:options.skip_engines ~assumptions ?explicit_session
-      ~witness:options.certify ~inputs ~outputs formulas
-  in
-  match report.Realizability.verdict with
-  | Realizability.Inconclusive _
-    when report.Realizability.degradation <> [] && not (aborted report) ->
-    lint_floor ~budget formulas report
-  | _ -> report
+  Realizability.check ~budget ~engine:options.engine
+    ~lookahead:options.lookahead ~bound:options.bound
+    ~skip:options.skip_engines ~assumptions ?explicit_session
+    ~witness:options.certify ~inputs ~outputs formulas
 
 let check_formulas ?options ?partition ?explicit_session formulas =
   let options =

@@ -2,9 +2,8 @@
     translated to LTL (stage 1, with semantic reasoning and time
     abstraction), partitioned into inputs/outputs, and checked for
     consistency by LTL synthesis (stage 2: the engine ladder symbolic →
-    explicit of {!Speccc_synthesis.Realizability.check}, with a lint
-    pass as its floor).  Stage 3 — refinement — is provided by
-    {!Localize} and {!Refine}. *)
+    explicit → lint of {!Speccc_synthesis.Realizability.check}).
+    Stage 3 — refinement — is provided by {!Localize} and {!Refine}. *)
 
 type options = {
   translate : Speccc_translate.Translate.config;
@@ -17,12 +16,12 @@ type options = {
   fuel : int option;
       (** deterministic step budget for the synthesis stage; [None] =
           unlimited.  Synthesis always runs
-          {!Speccc_synthesis.Realizability.check}'s engine ladder, with
-          a lint pass as the ladder's floor when every rung degraded. *)
+          {!Speccc_synthesis.Realizability.check}'s engine ladder under
+          it, lint step included. *)
   deadline : float option;
-      (** wall-clock seconds allowed for the synthesis stage; the lint
-          floor and certification run on reserves of fuel of their
-          own but share this deadline and [cancel] *)
+      (** wall-clock seconds allowed for the synthesis stage; the
+          ladder's lint step and certification run on reserves of fuel
+          of their own but share this deadline and [cancel] *)
   cancel : Speccc_runtime.Cancellation.token option;
       (** cooperative cancellation, polled at budget checkpoints *)
   skip_engines : string list;

@@ -237,7 +237,7 @@ let journal_read ?on_corrupt ?(repair = false) path =
 
 (* ---------- per-document supervision ---------- *)
 
-let default_first_fuel = 200_000
+let default_fuel = 200_000
 
 let classify (outcome : Pipeline.outcome) =
   match outcome.Pipeline.report.Realizability.verdict with
@@ -260,17 +260,6 @@ let detail_of outcome =
   in
   base ^ dropped
 
-(* Attempt [i] (0-based) runs under [first_fuel / 2^i]: a document
-   that blew through its budget gets cheaper, ladder-floor-leaning
-   retries rather than the same explosion again. *)
-let attempt_fuel config i =
-  let first =
-    match config.options.Pipeline.fuel with
-    | Some fuel -> fuel
-    | None -> default_first_fuel
-  in
-  max 1_000 (first / (1 lsl i))
-
 (* Seeded jitter: a parallel batch that hits a shared-cause failure
    (store outage, breaker trip) would otherwise have all its workers
    retrying in lockstep at exactly base*2^i.  The jitter factor
@@ -285,10 +274,9 @@ let backoff config ~key i =
   Float.min config.backoff_cap
     (config.backoff_base *. (2. ** float_of_int i) *. jitter_factor ~key i)
 
-let check_once config document ~fuel =
-  let options = { config.options with Pipeline.fuel = Some fuel } in
+let check_once config document =
   Runtime.guard ~stage:"harness" (fun () ->
-      Pipeline.run_document ~options document)
+      Pipeline.run_document ~options:config.options document)
 
 (* Retrying a cancelled run is pointless — the token stays tripped, so
    every further attempt dies at its first budget poll (and a watchdog
@@ -330,9 +318,17 @@ let supervise_fresh config (key, document) =
     | Some slot -> slot
     | None -> Speccc_runtime.Snapshot.slot ()
   in
+  (* Every attempt runs under the same budget: fuel exhaustion never
+     escapes the ladder, so a retry only follows a failure outside it,
+     and less fuel could only lose the answer. *)
+  let fuel =
+    Option.value ~default:default_fuel config.options.Pipeline.fuel
+  in
   let config =
     { config with
-      options = { config.options with Pipeline.snapshot = Some slot } }
+      options =
+        { config.options with
+          Pipeline.fuel = Some fuel; snapshot = Some slot } }
   in
   let partial () = Speccc_runtime.Snapshot.latest slot in
   let failed i error =
@@ -355,7 +351,7 @@ let supervise_fresh config (key, document) =
         ignore (config.sleep (backoff config ~key (i - 1)));
         Speccc_runtime.Snapshot.rearm slot
       end;
-      match check_once config document ~fuel:(attempt_fuel config i) with
+      match check_once config document with
       | Ok outcome ->
         let verdict = classify outcome in
         {

@@ -1,14 +1,18 @@
 (** Crash-safe batch checking: a supervisor that runs the pipeline
     over many requirement documents with per-document error
-    confinement, retry-with-degraded-budget, and a journal that makes
+    confinement, retries with backoff, and a journal that makes
     interrupted runs resumable.
 
     The contract is the batch analogue of the single-run ladder: one
     document's failure — a parser crash, an engine blow-up, an
     injected fault — never takes down the run; it is confined by
-    {!Speccc_runtime.Runtime.guard}, retried under a smaller budget
+    {!Speccc_runtime.Runtime.guard}, retried under the same budget
     after a bounded exponential backoff, and finally recorded as
-    [Failed] if every attempt dies.
+    [Failed] if every attempt dies.  Fuel exhaustion is not such a
+    failure: the engine ladder
+    ({!Speccc_synthesis.Realizability.check}) absorbs it and answers,
+    so only a failure outside the ladder (a parser crash, a raising
+    fault checkpoint) is retried.
 
     {2 Journal format}
 
@@ -51,8 +55,10 @@ type verdict_class =
 type config = {
   options : Speccc_core.Pipeline.options;
       (** per-document pipeline options; [options.fuel] (default
-          200k when unset) is the first attempt's budget *)
-  retries : int;        (** extra attempts after the first (default 2) *)
+          200k when unset) is every attempt's budget *)
+  retries : int;
+      (** extra attempts after the first, each under the same budget
+          (default 2) *)
   backoff_base : float;
       (** nominal seconds before the first retry (default 0.05); each
           actual backoff is the doubled base stretched by a
@@ -164,7 +170,7 @@ val backoff : config -> key:string -> int -> float
 val check_one : config -> string -> Speccc_core.Document.t -> doc_result
 (** The per-document attempt loop {!run} applies to each document,
     exposed for callers that supervise their own request streams (the
-    serve mode): confinement, degraded-budget retries and backoff, one
+    serve mode): confinement, retries and backoff, one
     [doc_result].  If [config.options.cancel] is tripped externally
     (e.g. by a watchdog), remaining retries are abandoned — the token
     stays tripped, so they could only die at their first poll.  Never

@@ -66,8 +66,8 @@ val child : t -> fuel:int -> t
 val reserve : t -> fuel:int -> t
 (** Like {!child}, but [fuel] is not capped by the parent's remaining
     fuel: a reserve for work that runs after the parent's fuel is gone
-    (the pipeline's lint floor and certification), still bound by the
-    parent's deadline and cancellation token. *)
+    (the ladder's lint floor, the pipeline's certification), still
+    bound by the parent's deadline and cancellation token. *)
 
 val absorb : t -> t -> unit
 (** [absorb parent c] debits [spent c] from [parent]'s fuel (saturating

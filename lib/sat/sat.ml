@@ -427,31 +427,3 @@ let solve_clauses ?budget ?assumptions clauses =
   List.iter (add_clause solver) clauses;
   solve ?budget ?assumptions solver
 
-(* ---------- unsat-core extraction over assumptions ---------- *)
-
-type core_outcome =
-  | Core_sat of bool array
-  | Core_unsat of int list
-
-let solve_core ?budget ~assumptions solver =
-  match solve ?budget ~assumptions solver with
-  | Sat model -> Core_sat model
-  | Unsat ->
-    (* Destructive (deletion-based) minimization: drop one assumption
-       at a time and keep the drop whenever the instance stays
-       unsatisfiable.  The result is a minimal core w.r.t. single
-       removals — each surviving assumption is necessary.  Cost is one
-       incremental solve call per assumption, which is the right trade
-       for the requirement-level selector literals this surface is
-       meant for (tens of assumptions, not thousands). *)
-    let rec minimize kept = function
-      | [] -> List.rev kept
-      | candidate :: rest ->
-        (match solve ?budget ~assumptions:(List.rev_append kept rest) solver with
-         | Unsat -> minimize kept rest
-         | Sat _ -> minimize (candidate :: kept) rest)
-    in
-    (* The clauses alone may already be unsatisfiable: empty core. *)
-    (match solve ?budget solver with
-     | Unsat -> Core_unsat []
-     | Sat _ -> Core_unsat (minimize [] assumptions))

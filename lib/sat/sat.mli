@@ -52,20 +52,3 @@ val solve_clauses :
   outcome
 (** One-shot convenience: build a solver, add the clauses, solve. *)
 
-type core_outcome =
-  | Core_sat of bool array
-      (** Model indexed by variable, as in {!outcome}. *)
-  | Core_unsat of int list
-      (** A subset of the given assumptions that is unsatisfiable
-          together with the clauses — minimal w.r.t. removing any
-          single member.  [[]] when the clauses alone are
-          unsatisfiable. *)
-
-val solve_core :
-  ?budget:Speccc_runtime.Budget.t -> assumptions:int list -> t -> core_outcome
-(** Like {!solve}, but an [Unsat] answer is refined into an unsat core
-    over the assumption literals by deletion-based minimization (one
-    incremental solve per assumption).  This is the witness surface
-    the certification layer re-checks inconsistency verdicts against.
-    Budget exhaustion raises [Speccc_runtime.Runtime.Interrupt] as in
-    {!solve}. *)

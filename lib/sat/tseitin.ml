@@ -84,6 +84,5 @@ let mk_xor t a b =
         out)
 
 let mk_iff t a b = mk_not (mk_xor t a b)
-let mk_implies t a b = mk_or t [ -a; b ]
 let mk_ite t c a b = mk_or t [ mk_and t [ c; a ]; mk_and t [ -c; b ] ]
 let assert_lit t lit = Sat.add_clause t.sat [ lit ]

@@ -22,7 +22,6 @@ val mk_and : t -> lit list -> lit
 val mk_or : t -> lit list -> lit
 val mk_xor : t -> lit -> lit -> lit
 val mk_iff : t -> lit -> lit -> lit
-val mk_implies : t -> lit -> lit -> lit
 val mk_ite : t -> lit -> lit -> lit -> lit
 (** [mk_ite t c a b] = if [c] then [a] else [b]. *)
 

@@ -63,8 +63,8 @@ let stage_name = function
 
 let rung_names = List.map stage_name [ `Symbolic; `Explicit ]
 
-(* Ladder rungs first, then the pipeline's floor and checks, then
-   anything else. *)
+(* Ladder rungs first, then the lint floor, the pipeline's
+   certification and the ladder's abort, then anything else. *)
 let rung_rank name =
   let order = rung_names @ [ "lint"; "certify"; "ladder" ] in
   Option.value ~default:(List.length order)
@@ -97,6 +97,40 @@ let all_degraded rungs =
   in
   if starved then "all engines degraded or inconclusive under the budget"
   else "all engines degraded or inconclusive"
+
+(* ---------- the lint floor ---------- *)
+
+(* When no rung concluded, a lint pass can still return a sound
+   verdict: an unsatisfiable requirement or a conflicting pair refutes
+   realizability outright.  The pass runs on a reserve of fuel of its
+   own, because it is exactly the engines' fuel that is gone; the
+   reserve keeps the check's deadline and cancellation token. *)
+let lint_reserve_fuel = 20_000
+
+(* The first conflict the pass finds, as (core, explanation). *)
+let first_conflict findings =
+  List.find_map
+    (fun finding ->
+       let core =
+         match finding with
+         | Speccc_lint.Lint.Unsatisfiable i -> Some [ i ]
+         | Speccc_lint.Lint.Pair_conflict (i, j, _) -> Some [ i; j ]
+         | Speccc_lint.Lint.Valid _ | Speccc_lint.Lint.Vacuous_guard _ -> None
+       in
+       Option.map
+         (fun core ->
+            ( core,
+              Format.asprintf "%a"
+                (Speccc_lint.Lint.pp_finding ~requirement_text:(fun _ -> None))
+                finding ))
+         core)
+    findings
+
+let lint_floor ~budget requirements =
+  let reserve = Budget.reserve budget ~fuel:lint_reserve_fuel in
+  Runtime.timed (fun () ->
+      Runtime.guard ~stage:"lint" (fun () ->
+          first_conflict (Speccc_lint.Lint.check ~budget:reserve requirements)))
 
 let explicit_verdict_of = function
   | Bounded.Realizable controller ->
@@ -245,9 +279,9 @@ let ladder_stages ~assumptions =
      assumption-carrying checks start at the exact explicit engine. *)
   if assumptions = [] then [ `Symbolic; `Explicit ] else [ `Explicit ]
 
-let inconclusive ~engine_used ~detail why =
+let bare_report ~engine_used ~detail verdict =
   {
-    verdict = Inconclusive why;
+    verdict;
     engine_used;
     controller = None;
     counterstrategy = None;
@@ -307,7 +341,7 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
   (* Hard memory watermark: under heap pressure the ladder sheds every
      rung but its last — the explicit game, which its letter budget
      keeps to small alphabets; wider documents skip it too and fall to
-     the pipeline's lint floor — and logs the shed rungs as typed
+     the lint floor — and logs the shed rungs as typed
      memory degradations.  Only the [Auto] ladder degrades. *)
   let stages, skipped =
     match List.rev stages with
@@ -351,15 +385,42 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
       degradation = dedup_degradation (List.rev log);
     }
   in
-  let rec descend stages log last_inconclusive =
+  (* [detail] is the last inconclusive rung's diagnostics. *)
+  let rec descend stages log detail =
     match stages with
     | [] ->
-      let detail, engine_used =
-        match last_inconclusive with
-        | Some report -> (report.detail, report.engine_used)
-        | None -> ("every engine in the ladder degraded", "none")
+      (* No rung concluded: the lint pass is the ladder's last step. *)
+      let why = all_degraded log in
+      let result, rung_wall = lint_floor ~budget requirements in
+      total_wall := !total_wall +. rung_wall;
+      let lint_rung outcome error =
+        { rung_engine = "lint"; rung_outcome = outcome; rung_error = error;
+          rung_wall }
       in
-      finish log (inconclusive ~engine_used ~detail (all_degraded log))
+      (match result with
+       | Ok (Some (core, conflict)) ->
+         finish log
+           {
+             (bare_report ~engine_used:"lint" ~detail:conflict Inconsistent)
+             with
+             unsat_core = Some (emit_core core);
+           }
+       | Ok None ->
+         finish
+           (lint_rung "completed: no conflicts found" None :: log)
+           (bare_report ~engine_used:"none" ~detail
+              (Inconclusive (why ^ "; lint found no conflict")))
+       | Error error ->
+         let outcome =
+           match error with
+           | Runtime.Fuel_exhausted stage ->
+             Printf.sprintf "%s: the %d-step lint reserve ran out" stage
+               lint_reserve_fuel
+           | _ -> Runtime.to_string error
+         in
+         finish
+           (lint_rung outcome (Some error) :: log)
+           (bare_report ~engine_used:"none" ~detail (Inconclusive why)))
     | `Explicit :: rest when not (Bounded.fits ~inputs ~outputs ()) ->
       (* inapplicable, forced or not: recorded only once reached *)
       let why =
@@ -367,7 +428,7 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
           "%d propositions exceed the explicit engine's letter budget"
           (List.length inputs + List.length outputs)
       in
-      descend rest (skipped_rung `Explicit why :: log) last_inconclusive
+      descend rest (skipped_rung `Explicit why :: log) detail
     | stage :: rest ->
       (match run_rung ~last:(rest = []) stage with
        | Ok ({ verdict = Inconsistent; counterstrategy = None; _ } as report), _
@@ -396,14 +457,15 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
              rung_wall;
            }
          in
-         descend rest (rung :: log) (Some report)
+         descend rest (rung :: log) report.detail
        | Error ((Runtime.Timeout _ | Runtime.Cancelled _) as error), _ ->
          (* The wall-clock deadline and cancellation are global: no
             point starting a cheaper engine that will be killed at its
             first poll. *)
          let why = Runtime.to_string error in
          {
-           (inconclusive ~engine_used:"none" ~detail:why why) with
+           (bare_report ~engine_used:"none" ~detail:why (Inconclusive why))
+           with
            wall_time = !total_wall;
            degradation =
              [
@@ -424,6 +486,6 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
              rung_wall;
            }
          in
-         descend rest (rung :: log) last_inconclusive)
+         descend rest (rung :: log) detail)
   in
-  descend stages (List.rev skipped) None
+  descend stages (List.rev skipped) "every engine in the ladder degraded"

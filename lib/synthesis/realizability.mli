@@ -4,7 +4,8 @@
     input propositions and driving the output propositions exists
     (Sec. V-A).
 
-    Two engines form one fallback ladder, run by {!check}; both
+    Two engines form one fallback ladder, run by {!check}, with a
+    lint pass ([Speccc_lint.Lint]) as its last step; both engines
     mirror the paper's engine, G4LTL, a bounded-synthesis tool that
     bounds eventualities with a look-ahead (Sec. V-A):
     - [Symbolic]: BDD obligation game ({!Obligation}); liveness is
@@ -17,7 +18,8 @@
       ({!Bounded.fits}).
 
     [Auto] runs the whole ladder; forcing [Explicit] or [Symbolic]
-    runs that single rung. *)
+    runs that single rung.  The lint step is not a rung: it runs
+    whenever no rung concluded, and it cannot be skipped or forced. *)
 
 type engine = Explicit | Symbolic | Auto
 
@@ -29,8 +31,9 @@ type verdict =
 
 type rung = {
   rung_engine : string;
-      (** a ladder rung ({!rung_names}), or a stage the pipeline
-          appends: ["lint"], ["certify"], ["ladder"] *)
+      (** a ladder rung ({!rung_names}); the ladder's lint step
+          ["lint"] or its abort ["ladder"]; or ["certify"], which the
+          pipeline appends *)
   rung_outcome : string;      (** why the ladder moved past this rung *)
   rung_error : Speccc_runtime.Runtime.error option;
       (** present when the rung failed or ran out of resources;
@@ -50,7 +53,7 @@ type report = {
           any candidate implementation *)
   unsat_core : int list option;
       (** present when [Inconsistent] was proved by unsatisfiability
-          of a requirement subset (the lint floor's witness): 0-based
+          of a requirement subset (the lint step's witness): 0-based
           requirement indices whose conjunction admits no behaviour at
           all.  Engines that prove unrealizability game-theoretically
           leave this [None] and ship a [counterstrategy] instead. *)
@@ -72,26 +75,10 @@ type report = {
     [witness.counterstrategy], [witness.core]) on emission, so
     certificate rejection is drillable from tests. *)
 
-val emit_core : int list -> int list
-(** Route an unsat core through its corruption checkpoint (used by the
-    pipeline's lint floor; exposed so every witness emission point
-    shares one drill mechanism). *)
-
 val rung_names : string list
 (** The ladder's rung names in ladder order: [["symbolic"; "explicit"]].
     These are the names [skip] accepts and the [rung_engine] of the
     ladder's own rungs. *)
-
-val all_degraded : rung list -> string
-(** The explanation of a verdict that no rung concluded: "all engines
-    degraded or inconclusive", followed by "under the budget" only when
-    some logged rung ran out of a resource
-    ({!Speccc_runtime.Runtime.is_resource}). *)
-
-val dedup_degradation : rung list -> rung list
-(** Keep the first rung per engine, preserving order — the
-    once-per-engine invariant {!check} maintains, exposed for
-    callers that append rungs themselves. *)
 
 val canonical_degradation : report -> rung list
 (** The degradation log in canonical rendering order: deduplicated,
@@ -129,6 +116,24 @@ val check :
     an unlimited budget.  Under a finite budget every rung but the
     last gets half of the remaining fuel (the last gets all of it).
 
+    {b The lint step.}  When no rung concluded — every rung degraded,
+    was skipped or was inconclusive, and neither the deadline nor
+    cancellation aborted the ladder — the ladder ends with a lint pass
+    over [requirements] on a 20,000-step reserve of fuel of its own
+    that keeps the budget's deadline and cancellation token.  An
+    unsatisfiable requirement or a conflicting pair refutes
+    realizability: the verdict is [Inconsistent], the engine ["lint"]
+    and [unsat_core] the requirements at fault.  Otherwise the verdict
+    stays [Inconclusive] with engine ["none"] and the last
+    inconclusive rung's [detail], and a ["lint"] rung ends the
+    degradation log.  The explanation is "all engines degraded or
+    inconclusive", followed by "under the budget" only when some
+    logged rung ran out of a resource, and by "; lint found no
+    conflict" when the pass completed.  A one-rung ladder (a forced
+    engine, or the assumption ladder with nothing skipped) whose rung
+    completes inconclusive reports that rung's own verdict: no lint
+    step follows it.
+
     {b Witnesses.}  [witness] (default [false]) says the caller reads
     the witness.  Unset, a symbolic [Consistent] carries no
     controller: enumerating and minimizing the strategy's Mealy
@@ -150,9 +155,9 @@ val check :
     use this to bypass a rung that keeps failing.  Each skipped rung
     is recorded in [report.degradation] with an outcome starting
     ["skipped:"].  [skip] is ignored when [engine] is forced; skipping
-    every rung yields the same [Inconclusive] report as a ladder whose
-    every rung degraded.  Under the hard memory watermark the [Auto]
-    ladder collapses to its last rung, the explicit one.
+    every rung leads to the lint step like a ladder whose every rung
+    degraded.  Under the hard memory watermark the [Auto] ladder
+    collapses to its last rung, the explicit one.
 
     The explicit rung is one {!Bounded.solve} call: over the
     requirement list (one block per requirement), or over the single
@@ -171,6 +176,7 @@ val check :
     spurious unrealizability.
 
     Never raises.  A wall-clock [Timeout] or [Cancelled] is global: it
-    aborts the ladder with an [Inconclusive] report whose engine is
-    ["none"] and whose degradation log is the single rung ["ladder"]
-    carrying the error. *)
+    aborts the ladder, lint step included, with an [Inconclusive]
+    report whose engine is ["none"] and whose degradation log is the
+    single rung ["ladder"] carrying the error.  Fuel exhaustion never
+    escapes the ladder. *)

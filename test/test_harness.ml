@@ -1,5 +1,5 @@
 (* Tests for the crash-safe batch harness: per-document confinement,
-   degraded-budget retries with recorded backoff, the JSONL journal,
+   retries under one budget with recorded backoff, the JSONL journal,
    and resuming an interrupted run without re-checking journaled
    documents. *)
 
@@ -111,6 +111,59 @@ let test_unreadable_file_is_failed () =
     Harness.run_files (test_config ()) [ "/nonexistent/doc.spec" ]
   in
   Alcotest.(check (list string)) "failed" [ "failed" ] (verdicts summary)
+
+(* Every attempt runs under the caller's budget, so the harness
+   answers what one pipeline run at the same options answers, and a
+   retry after a transient fault outside the ladder answers what a
+   clean run does. *)
+let test_harness_keeps_the_budget () =
+  let module Realizability = Speccc_synthesis.Realizability in
+  let module Cara = Speccc_casestudies.Cara in
+  let cara_1 =
+    match List.find_opt (fun c -> c.Cara.row = "1") Cara.components with
+    | Some c -> doc (Cara.component_sentences c)
+    | None -> Alcotest.fail "no CARA:1 component"
+  in
+  let fail_once =
+    { Fault.checkpoint = Fault.Checkpoint.sat_solve; after = 0;
+      action = Fault.Fail "injected" }
+  in
+  (* label, document, fuel, faults, expected class, expected attempts *)
+  let rows =
+    [ ("pump_control at fuel 100",
+       Document.of_file "../examples/specs/pump_control.spec", 100, [],
+       "unknown", 1);
+      ("CARA:1 at fuel 1500, sat.solve failing once", cara_1, 1_500,
+       [ fail_once ], "consistent", 2) ]
+  in
+  List.iter
+    (fun (label, document, fuel, faults, expected, attempts) ->
+       let config = test_config () in
+       let options =
+         { config.Harness.options with Pipeline.fuel = Some fuel }
+       in
+       let report =
+         (Pipeline.run_document ~options document).Pipeline.report
+       in
+       let result =
+         with_faults faults (fun () ->
+             Harness.check_one { config with Harness.options } label document)
+       in
+       Alcotest.(check string) (label ^ ": pipeline") expected
+         (match report.Realizability.verdict with
+          | Realizability.Consistent -> "consistent"
+          | Realizability.Inconsistent -> "inconsistent"
+          | Realizability.Inconclusive _ -> "unknown");
+       Alcotest.(check (pair string string)) (label ^ ": harness = pipeline")
+         (expected, report.Realizability.engine_used)
+         (List.hd
+            (verdicts
+               { Harness.results = [ result ]; exit_code = 0;
+                 interrupted = false }),
+          result.Harness.engine);
+       Alcotest.(check int) (label ^ ": attempts") attempts
+         result.Harness.attempts)
+    rows
 
 (* ---------- journal and resume ---------- *)
 
@@ -661,6 +714,8 @@ let () =
             test_retry_schedule;
           Alcotest.test_case "unreadable file" `Quick
             test_unreadable_file_is_failed;
+          Alcotest.test_case "every attempt keeps the caller's budget"
+            `Quick test_harness_keeps_the_budget;
         ] );
       ( "journal",
         [

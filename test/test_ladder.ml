@@ -10,6 +10,8 @@ module Budget = Speccc_runtime.Budget
 module Table1 = Speccc_casestudies.Table1
 module Harness = Speccc_harness.Harness
 module Certify = Speccc_certify.Certify
+module Fault = Speccc_runtime.Fault
+module Partition = Speccc_partition.Partition
 
 let parse = Ltl_parse.formula
 
@@ -212,6 +214,84 @@ let test_last_rung_gets_the_rest () =
   | _, (Certify.Rejected why | Certify.No_witness why) ->
     Alcotest.fail ("counterstrategy not certified: " ^ why)
 
+(* ---------- the lint step ---------- *)
+
+let with_faults triggers f =
+  Fault.install triggers;
+  Fun.protect ~finally:Fault.clear f
+
+let fail_at checkpoint =
+  { Fault.checkpoint; after = 0; action = Fault.Fail "injected" }
+
+let zero_walls rungs =
+  List.map (fun rung -> { rung with Realizability.rung_wall = 0. }) rungs
+
+(* The lint step belongs to the ladder, so a direct check and the
+   pipeline agree when both engines fail on a plain conflict. *)
+let test_lint_step_direct_equals_pipeline () =
+  let formulas = [ parse "G o"; parse "G !o" ] in
+  let engines_failing f =
+    with_faults
+      [ fail_at Fault.Checkpoint.engine_symbolic;
+        fail_at Fault.Checkpoint.engine_explicit ]
+      f
+  in
+  let partition, piped =
+    engines_failing (fun () -> Pipeline.check_formulas formulas)
+  in
+  let direct =
+    engines_failing (fun () ->
+        Realizability.check ~inputs:partition.Partition.inputs
+          ~outputs:partition.Partition.outputs formulas)
+  in
+  List.iter
+    (fun (label, report) ->
+       Alcotest.(check string) (label ^ ": verdict") "inconsistent"
+         (verdict_class report.Realizability.verdict);
+       Alcotest.(check string) (label ^ ": engine") "lint"
+         report.Realizability.engine_used;
+       Alcotest.(check (option (list int))) (label ^ ": core")
+         (Some [ 0; 1 ]) report.Realizability.unsat_core)
+    [ ("pipeline", piped); ("direct", direct) ];
+  Alcotest.(check (list string)) "engines failed" [ "symbolic"; "explicit" ]
+    (List.map
+       (fun rung -> rung.Realizability.rung_engine)
+       direct.Realizability.degradation);
+  Alcotest.(check bool) "same degradation" true
+    (zero_walls (Realizability.canonical_degradation direct)
+     = zero_walls (Realizability.canonical_degradation piped))
+
+(* TELE:4 is too wide for the explicit rung and the symbolic rung
+   loses at every lookahead: nobody decided, so the engine is "none",
+   while the detail stays the symbolic rung's. *)
+let test_nobody_decided () =
+  let texts =
+    match
+      List.find_opt
+        (fun row -> row.Table1.group = "TELE" && row.Table1.row_id = "4")
+        Table1.rows
+    with
+    | Some { Table1.source = Table1.Sentences texts; _ } -> texts
+    | Some _ | None -> Alcotest.fail "no TELE:4 row"
+  in
+  let outcome = Pipeline.run texts in
+  let partition = outcome.Pipeline.partition.Partition.partition in
+  let report =
+    Realizability.check ~inputs:partition.Partition.inputs
+      ~outputs:partition.Partition.outputs outcome.Pipeline.formulas
+  in
+  List.iter
+    (fun (label, report) ->
+       Alcotest.(check string) (label ^ ": verdict") "unknown"
+         (verdict_class report.Realizability.verdict);
+       Alcotest.(check string) (label ^ ": engine") "none"
+         report.Realizability.engine_used;
+       Alcotest.(check string) (label ^ ": detail")
+         "eventualities were bounded before solving; a larger lookahead \
+          may succeed"
+         report.Realizability.detail)
+    [ ("pipeline", outcome.Pipeline.report); ("direct", report) ]
+
 let () =
   Alcotest.run "ladder"
     [
@@ -228,4 +308,9 @@ let () =
             test_warm_cold_exhaustion;
           Alcotest.test_case "the last rung gets the rest of the fuel"
             `Quick test_last_rung_gets_the_rest ] );
+      ( "lint-step",
+        [ Alcotest.test_case "direct check equals the pipeline" `Quick
+            test_lint_step_direct_equals_pipeline;
+          Alcotest.test_case "nobody decided: engine none" `Quick
+            test_nobody_decided ] );
     ]

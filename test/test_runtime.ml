@@ -95,19 +95,6 @@ let test_cancellation () =
 
 (* ---------- typed errors on user-input paths ---------- *)
 
-let test_dimacs_typed_errors () =
-  (match Speccc_sat.Dimacs.parse "p cnf x 2" with
-   | Error (Runtime.Invalid_input { stage = "dimacs"; line = Some 1; _ }) ->
-     ()
-   | Ok _ | Error _ -> Alcotest.fail "bad header must blame line 1");
-  (match Speccc_sat.Dimacs.parse "c ok\np cnf 2 1\n1 zz 0" with
-   | Error (Runtime.Invalid_input { stage = "dimacs"; line = Some 3; _ }) ->
-     ()
-   | Ok _ | Error _ -> Alcotest.fail "bad literal must blame line 3");
-  match Speccc_sat.Dimacs.parse "p cnf 2 2\n1 -2 0\n2 0" with
-  | Ok (2, [ [ 1; -2 ]; [ 2 ] ]) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "well-formed input must parse"
-
 let test_timeabs_typed_errors () =
   (match Speccc_timeabs.Timeabs.problem_checked ~budget:(-1) [ 4; 6 ] with
    | Error error ->
@@ -314,11 +301,15 @@ let test_ladder_two_rungs_fail () =
       ~faults:[ fail_at Fault.Checkpoint.engine_symbolic; fail_at Fault.Checkpoint.engine_explicit ]
       realizable_spec
   in
-  (* engine failures are not resource errors: no budget to blame *)
-  Alcotest.(check string) "explanation" "all engines degraded or inconclusive"
+  (* engine failures are not resource errors: no budget to blame; the
+     ladder's lint step finds no conflict in a realizable spec *)
+  Alcotest.(check string) "explanation"
+    "all engines degraded or inconclusive; lint found no conflict"
     (inconclusive_why report);
-  Alcotest.(check (list string)) "two rungs logged"
-    [ "symbolic"; "explicit" ] (rung_engines report)
+  Alcotest.(check (list string)) "two rungs and the lint step logged"
+    [ "symbolic"; "explicit"; "lint" ] (rung_engines report);
+  Alcotest.(check string) "lint outcome" "completed: no conflicts found"
+    (List.nth report.Realizability.degradation 2).Realizability.rung_outcome
 
 let test_ladder_all_rungs_fail () =
   (* With assumptions the ladder is the explicit rung alone; starving
@@ -332,10 +323,13 @@ let test_ladder_all_rungs_fail () =
            ~outputs realizable_spec)
   in
   Alcotest.(check string) "explanation"
-    "all engines degraded or inconclusive under the budget"
+    "all engines degraded or inconclusive under the budget; lint found \
+     no conflict"
     (inconclusive_why report);
-  Alcotest.(check (list string)) "one rung logged" [ "explicit" ]
-    (rung_engines report)
+  Alcotest.(check (list string)) "one rung and the lint step logged"
+    [ "explicit"; "lint" ] (rung_engines report);
+  Alcotest.(check string) "lint outcome" "completed: no conflicts found"
+    (List.nth report.Realizability.degradation 1).Realizability.rung_outcome
 
 let test_ladder_fuel_exhaust_rung () =
   (* An Exhaust fault is indistinguishable from real fuel starvation:
@@ -374,7 +368,7 @@ let test_ladder_global_timeout_aborts () =
 
 let test_pipeline_lint_floor () =
   (* Every synthesis engine degraded, but the two requirements are a
-     plain propositional conflict — the pipeline's lint floor must
+     plain propositional conflict — the ladder's lint floor must
      still deliver the sound Inconsistent verdict. *)
   let options =
     { (Pipeline.default_options ()) with Pipeline.fuel = Some 1_000_000 }
@@ -494,7 +488,6 @@ let () =
         ] );
       ( "typed-errors",
         [
-          Alcotest.test_case "dimacs" `Quick test_dimacs_typed_errors;
           Alcotest.test_case "timeabs" `Quick test_timeabs_typed_errors;
           Alcotest.test_case "verbalize" `Quick test_verbalize_typed_errors;
         ] );

@@ -188,13 +188,6 @@ let test_tseitin_xor_ite () =
   Alcotest.(check bool) "ite equals its definition" false
     (check_sat (Sat.solve sat))
 
-let test_dimacs_roundtrip () =
-  let clauses = [ [ 1; -2; 3 ]; [ -1 ]; [ 2; 3 ] ] in
-  let text = Format.asprintf "%a" (fun ppf -> Dimacs.print ppf ~nvars:3) clauses in
-  let nvars, parsed = Dimacs.parse_exn text in
-  Alcotest.(check int) "nvars" 3 nvars;
-  Alcotest.(check (list (list int))) "clauses" clauses parsed
-
 let () =
   Alcotest.run "sat"
     [
@@ -212,8 +205,6 @@ let () =
           Alcotest.test_case "and/not folding" `Quick test_tseitin_basic;
           Alcotest.test_case "xor/ite" `Quick test_tseitin_xor_ite;
         ] );
-      ( "dimacs",
-        [ Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_matches_brute_force;
