@@ -149,25 +149,10 @@ let fig1 () =
   let app = List.nth Telepromise.applications 3 in
   let texts = Telepromise.application_sentences app in
   let outcome = Pipeline.run ~options:sym_options texts in
-  let partition = outcome.Pipeline.partition.Partition.partition in
   Format.printf "iteration 1: check -> %s@."
     (verdict_string outcome.Pipeline.report.Realizability.verdict);
-  let check_subset formulas =
-    let _, report = Pipeline.check_formulas ~options:sym_options formulas in
-    report.Realizability.verdict = Realizability.Consistent
-  in
-  let check_partition p =
-    let _, report =
-      Pipeline.check_formulas ~options:sym_options ~partition:p
-        outcome.Pipeline.formulas
-    in
-    report.Realizability.verdict = Realizability.Consistent
-  in
   let t0 = Unix.gettimeofday () in
-  let suggestion =
-    Refine.suggest ~check_subset ~check_partition ~partition
-      outcome.Pipeline.formulas
-  in
+  let suggestion = Refine.run sym_options outcome in
   Format.printf "iteration 2: localize + adjust (%.2fs)@."
     (Unix.gettimeofday () -. t0);
   (match suggestion.Refine.localization with

@@ -79,10 +79,9 @@ let load_document source =
       failwith
         (Printf.sprintf
            "unknown specification %S (expected a file, \"cara\", \
-            \"cara:ROW\", \"tele:ROW\" or \"robot:RxK\")"
+            \"cara:ROW\" or \"tele:ROW\"; \"robot:RxK\" is for check \
+            only)"
            source)
-
-let load_spec source = Document.texts (load_document source)
 
 let spec_arg =
   let doc =
@@ -861,38 +860,22 @@ let route_cmd =
 
 let localize_cmd =
   let run source engine lookahead time_budget =
-    let texts = load_spec source in
     let options = options_of ~engine ~lookahead ~time_budget () in
-    let outcome = Pipeline.run ~options texts in
+    let outcome = Pipeline.run_document ~options (load_document source) in
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Consistent ->
       Format.printf "specification is consistent; nothing to localize@."
     | Realizability.Inconsistent | Realizability.Inconclusive _ ->
-      let check_subset formulas =
-        let _, report = Pipeline.check_formulas ~options formulas in
-        report.Realizability.verdict = Realizability.Consistent
-      in
-      let check_partition partition =
-        let _, report =
-          Pipeline.check_formulas ~options ~partition outcome.Pipeline.formulas
-        in
-        report.Realizability.verdict = Realizability.Consistent
-      in
-      let suggestion =
-        Refine.suggest ~check_subset ~check_partition
-          ~partition:outcome.Pipeline.partition.Speccc_partition.Partition.partition
-          outcome.Pipeline.formulas
-      in
+      let suggestion = Refine.run options outcome in
       (match suggestion.Refine.localization with
        | Some localization ->
          Format.printf "%a@." Localize.pp localization;
-         let document = load_document source in
          List.iteri
            (fun i r ->
               if i = localization.Localize.culprit
               || List.mem i localization.Localize.partners then
                 Format.printf "  [%d = %s] %s@." i
-                  (Document.id_at document i)
+                  (Document.id_at outcome.Pipeline.document i)
                   r.Speccc_translate.Translate.text)
            outcome.Pipeline.requirements
        | None -> ());
@@ -922,14 +905,13 @@ let synth_cmd =
            ~doc:"Print the controller as a synthesizable Verilog module.")
   in
   let run source engine lookahead time_budget dot st verilog =
-    let texts = load_spec source in
     (* the verb prints the witness, so the ladder must produce one
        (and certification validates it before it is shown) *)
     let options =
       { (options_of ~engine ~lookahead ~time_budget ()) with
         Pipeline.certify = true }
     in
-    let outcome = Pipeline.run ~options texts in
+    let outcome = Pipeline.run_document ~options (load_document source) in
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Consistent ->
       (match outcome.Pipeline.report.Realizability.controller with
@@ -983,14 +965,13 @@ let synth_cmd =
 
 let testgen_cmd =
   let run source engine lookahead time_budget =
-    let texts = load_spec source in
     (* the suite is generated from the witness, so ask for it as synth
        does *)
     let options =
       { (options_of ~engine ~lookahead ~time_budget ()) with
         Pipeline.certify = true }
     in
-    let outcome = Pipeline.run ~options texts in
+    let outcome = Pipeline.run_document ~options (load_document source) in
     match outcome.Pipeline.report.Realizability.controller with
     | None ->
       Format.printf
@@ -1204,25 +1185,7 @@ let report_cmd =
     (match outcome.Pipeline.report.Realizability.verdict with
      | Realizability.Consistent -> ()
      | Realizability.Inconsistent | Realizability.Inconclusive _ ->
-       (* subset checks never read a witness *)
-       let options = { options with Pipeline.certify = false } in
-       let check_subset formulas =
-         let _, r = Pipeline.check_formulas ~options formulas in
-         r.Realizability.verdict = Realizability.Consistent
-       in
-       let check_partition p =
-         let _, r =
-           Pipeline.check_formulas ~options ~partition:p
-             outcome.Pipeline.formulas
-         in
-         r.Realizability.verdict = Realizability.Consistent
-       in
-       let suggestion =
-         Refine.suggest ~check_subset ~check_partition
-           ~partition:outcome.Pipeline.partition
-               .Speccc_partition.Partition.partition
-           outcome.Pipeline.formulas
-       in
+       let suggestion = Refine.run options outcome in
        add "\n## Refinement (stage 3)\n\n";
        (match suggestion.Refine.localization with
         | Some localization ->

@@ -53,21 +53,7 @@ let () =
   Format.printf "@.whole specification: %s@."
     (verdict_string outcome.Pipeline.report.Realizability.verdict);
 
-  let check_subset formulas =
-    let _, report = Pipeline.check_formulas ~options formulas in
-    report.Realizability.verdict = Realizability.Consistent
-  in
-  let check_partition partition =
-    let _, report =
-      Pipeline.check_formulas ~options ~partition outcome.Pipeline.formulas
-    in
-    report.Realizability.verdict = Realizability.Consistent
-  in
-  let suggestion =
-    Refine.suggest ~check_subset ~check_partition
-      ~partition:outcome.Pipeline.partition.Speccc_partition.Partition.partition
-      outcome.Pipeline.formulas
-  in
+  let suggestion = Refine.run options outcome in
   (match suggestion.Refine.localization with
    | Some localization -> Format.printf "@.%a@." Localize.pp localization
    | None -> ());

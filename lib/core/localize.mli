@@ -45,7 +45,8 @@ val run :
   Speccc_logic.Ltl.t list ->
   result option
 (** [run ~check formulas]: [check] decides consistency of a subset
-    (typically realizability under a re-derived partition).  Returns
+    ({!Refine.localize}'s: realizability under the document's
+    assumptions and partition).  Returns
     [None] when the whole specification is consistent.  A requirement
     that is inconsistent on its own is reported as culprit with an
     empty partner set.
@@ -59,7 +60,9 @@ val run :
     [memo], it is the caller's table: a subset whose formula-id set
     was decided by an earlier run (e.g. before an unrelated edit) is
     answered without invoking [check], which must therefore also be
-    stable across those runs (same engine options; the partition is a
-    function of the subset). *)
+    stable across those runs: same engine options, and whatever else
+    the verdict depends on must not have changed either — for
+    {!Refine.localize}, the assumptions and the class of each
+    proposition, which {!Watch} prunes on. *)
 
 val pp : Format.formatter -> result -> unit

@@ -82,19 +82,41 @@ let synthesize options ~budget ?explicit_session ?(assumptions = [])
     ~skip:options.skip_engines ~assumptions ?explicit_session
     ~witness:options.certify ~inputs ~outputs formulas
 
-let check_formulas ?options ?partition ?explicit_session formulas =
+(* The Sec. IV-F heuristic reads requirement shapes, which
+   assumptions do not follow — partition over the guarantees, then
+   adopt assumption-only propositions as inputs (they describe the
+   environment). *)
+let partition_of ~assumptions guarantees =
+  let analysis = Partition.of_requirements guarantees in
+  let partition = analysis.Partition.partition in
+  let known = partition.Partition.inputs @ partition.Partition.outputs in
+  let extra =
+    List.concat_map Ltl.props assumptions
+    |> List.sort_uniq compare
+    |> List.filter (fun p -> not (List.mem p known))
+  in
+  {
+    analysis with
+    Partition.partition = {
+      partition with
+      Partition.inputs = List.sort compare (partition.Partition.inputs @ extra);
+    };
+  }
+
+let check_formulas ?options ?partition ?explicit_session ?(assumptions = [])
+    formulas =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
   let partition =
     match partition with
     | Some p -> p
-    | None -> (Partition.of_requirements formulas).Partition.partition
+    | None -> (partition_of ~assumptions formulas).Partition.partition
   in
   let report =
     synthesize options ~budget:(make_budget options) ?explicit_session
-      ~inputs:partition.Partition.inputs ~outputs:partition.Partition.outputs
-      formulas
+      ~assumptions ~inputs:partition.Partition.inputs
+      ~outputs:partition.Partition.outputs formulas
   in
   (partition, report)
 
@@ -154,31 +176,9 @@ let run_document ?options ?parse_cache ?explicit_session document =
          if Document.is_assumption item then None else Some formula)
       tagged
   in
-  (* The Sec. IV-F heuristic reads requirement shapes, which
-     assumptions do not follow — partition over the guarantees, then
-     adopt assumption-only propositions as inputs (they describe the
-     environment). *)
   let partition, partition_s =
     Speccc_runtime.Runtime.timed (fun () ->
-        let analysis = Partition.of_requirements guarantees in
-        let known =
-          analysis.Partition.partition.Partition.inputs
-          @ analysis.Partition.partition.Partition.outputs
-        in
-        let extra =
-          List.concat_map Ltl.props assumptions
-          |> List.sort_uniq compare
-          |> List.filter (fun p -> not (List.mem p known))
-        in
-        {
-          analysis with
-          Partition.partition = {
-            analysis.Partition.partition with
-            Partition.inputs =
-              List.sort compare
-                (analysis.Partition.partition.Partition.inputs @ extra);
-          };
-        })
+        partition_of ~assumptions guarantees)
   in
   let budget = make_budget options in
   let report, synthesis_s =

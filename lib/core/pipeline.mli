@@ -3,7 +3,9 @@
     abstraction), partitioned into inputs/outputs, and checked for
     consistency by LTL synthesis (stage 2: the engine ladder symbolic →
     explicit → lint of {!Speccc_synthesis.Realizability.check}).
-    Stage 3 — refinement — is provided by {!Localize} and {!Refine}. *)
+    Stage 3 — refinement — starts from a checked {!outcome}:
+    {!Refine.localize} and {!Refine.run} check subsets of
+    [outcome.document] under its assumptions and partition. *)
 
 type options = {
   translate : Speccc_translate.Translate.config;
@@ -120,11 +122,14 @@ val check_formulas :
   ?options:options ->
   ?partition:Speccc_partition.Partition.t ->
   ?explicit_session:Speccc_synthesis.Bounded.session ->
+  ?assumptions:Speccc_logic.Ltl.t list ->
   Speccc_logic.Ltl.t list ->
   Speccc_partition.Partition.t * Speccc_synthesis.Realizability.report
 (** Stage 2 only: partition (unless given) and synthesis over formulas
-    that are already in LTL.  Used by the localization loop and by
-    specifications authored directly in LTL.  [explicit_session] as in
-    {!run_document}. *)
+    that are already in LTL, as guarantees under [assumptions]
+    (default none), which form the antecedent as in {!run_document}
+    and, without [partition], are partitioned as there too.  Used by
+    {!Refine}'s subset checks and by specifications authored directly
+    in LTL.  [explicit_session] as in {!run_document}. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

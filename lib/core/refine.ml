@@ -1,5 +1,6 @@
 open Speccc_logic
 open Speccc_partition
+open Speccc_synthesis
 
 type adjustment = {
   moved_to_output : string list;
@@ -48,8 +49,11 @@ type suggestion = {
   advice : string;
 }
 
-let suggest ~check_subset ~check_partition ~partition formulas =
-  match Localize.run ~check:check_subset formulas with
+(* Partition adjustment focused on the located requirements, then the
+   advice for what remains; [formulas] are the ones [localization]'s
+   indices point into. *)
+let advise ~check_partition ~partition formulas localization =
+  match localization with
   | None ->
     {
       localization = None;
@@ -85,3 +89,84 @@ let suggest ~check_subset ~check_partition ~partition formulas =
              String.concat ", " (List.map string_of_int partners))
     in
     { localization = Some localization; adjustment; advice }
+
+let suggest ~check_subset ~check_partition ~partition formulas =
+  advise ~check_partition ~partition formulas
+    (Localize.run ~check:check_subset formulas)
+
+(* ---------- stage 3 from a checked outcome ---------- *)
+
+(* The checked document split as the pipeline checks it: assumption
+   formulas, and the guarantees with their positions in
+   [outcome.document]. *)
+let split (outcome : Pipeline.outcome) =
+  let tagged =
+    List.mapi
+      (fun i (item, formula) -> (i, Document.is_assumption item, formula))
+      (List.combine outcome.Pipeline.document outcome.Pipeline.formulas)
+  in
+  ( List.filter_map (fun (_, a, f) -> if a then Some f else None) tagged,
+    List.filter_map (fun (i, a, f) -> if a then None else Some (i, f)) tagged )
+
+let consistent (_, report) =
+  report.Realizability.verdict = Realizability.Consistent
+
+let sorted_ids formulas = List.sort_uniq Int.compare (List.map Ltl.id formulas)
+
+let localize ?memo ?explicit_session options (outcome : Pipeline.outcome) =
+  let verdict = outcome.Pipeline.report.Realizability.verdict in
+  match verdict with
+  | Realizability.Consistent -> None
+  | Realizability.Inconsistent | Realizability.Inconclusive _ ->
+    let options = { options with Pipeline.certify = false } in
+    let assumptions, positioned = split outcome in
+    let guarantees = List.map snd positioned in
+    let assumption_ids = sorted_ids assumptions in
+    let obligations =
+      List.filter (fun f -> not (List.mem (Ltl.id f) assumption_ids))
+    in
+    let whole = sorted_ids (obligations guarantees) in
+    let partition = outcome.Pipeline.partition.Partition.partition in
+    (* The one subset check of stage 3: every subset under the
+       document's fixed interface — all of its assumptions as
+       antecedent, its partition restricted to the propositions in
+       play.  A guarantee identical to an assumption is dropped
+       (∧A → (a ∧ G) ≡ ∧A → G), and an inconsistent document is not
+       solved again. *)
+    let check subset =
+      match obligations subset with
+      | [] -> true
+      | subset
+        when verdict = Realizability.Inconsistent && sorted_ids subset = whole
+        -> false
+      | subset ->
+        let props = List.concat_map Ltl.props (assumptions @ subset) in
+        let restrict = List.filter (fun p -> List.mem p props) in
+        let partition =
+          { Partition.inputs = restrict partition.Partition.inputs;
+            outputs = restrict partition.Partition.outputs }
+        in
+        consistent
+          (Pipeline.check_formulas ~options ~partition ?explicit_session
+             ~assumptions subset)
+    in
+    let position = Array.of_list (List.map fst positioned) in
+    let at = List.map (Array.get position) in
+    Localize.run ?memo ~check guarantees
+    |> Option.map (fun (l : Localize.result) ->
+        { Localize.culprit = position.(l.culprit);
+          consistent_prefix = at l.consistent_prefix;
+          relevant = at l.relevant;
+          partners = at l.partners })
+
+let run options (outcome : Pipeline.outcome) =
+  let assumptions, positioned = split outcome in
+  let guarantees = List.map snd positioned in
+  let options = { options with Pipeline.certify = false } in
+  advise
+    ~check_partition:(fun partition ->
+        consistent
+          (Pipeline.check_formulas ~options ~partition ~assumptions guarantees))
+    ~partition:outcome.Pipeline.partition.Partition.partition
+    outcome.Pipeline.formulas
+    (localize options outcome)

@@ -1,8 +1,16 @@
-(** Heuristic refinement (Sec. V-B, second bullet): when the synthesis
-    engine reports inconsistency, the input/output partition itself may
-    be the problem.  Candidate adjustments move propositions of the
-    located requirements between the classes; the first adjustment that
-    makes the specification realizable is returned.
+(** Stage 3 (Sec. V-B): localization and heuristic refinement.  When
+    the synthesis engine reports inconsistency, the requirements that
+    conflict are localized, and the input/output partition itself may
+    be the problem: candidate adjustments move propositions of the
+    located requirements between the classes; the first adjustment
+    that makes the specification realizable is returned.
+
+    {!localize} and {!run} are the one stage-3 path every verb takes:
+    they start from a checked {!Pipeline.outcome} and check every
+    subset under the document's fixed interface (its assumptions as
+    antecedent, its partition restricted to the subset's
+    propositions), so the verdict on the whole document is the one the
+    pipeline gave.
 
     The third bullet — modifying the requirements themselves — is the
     user's job; {!suggest} surfaces the information needed for it. *)
@@ -37,6 +45,36 @@ val suggest :
   partition:Speccc_partition.Partition.t ->
   Speccc_logic.Ltl.t list ->
   suggestion
-(** The full stage-3 loop: localize, try partition adjustments focused
-    on the located requirements, and produce advice for the remaining
-    case (modify the requirements). *)
+(** The stage-3 loop over caller-supplied checks: localize, try
+    partition adjustments focused on the located requirements, and
+    produce advice for the remaining case (modify the requirements).
+    For formulas a synthetic benchmark builds; a checked document goes
+    through {!run}. *)
+
+val localize :
+  ?memo:Localize.memo ->
+  ?explicit_session:Speccc_synthesis.Bounded.session ->
+  Pipeline.options ->
+  Pipeline.outcome ->
+  Localize.result option
+(** Localize the conflict of a checked document with {!Localize.run}
+    over its guarantees.  Each subset is checked with certification
+    off, under all of the document's assumptions (so an assumption is
+    never culprit or partner; a guarantee identical to an assumption
+    is dropped) and under [outcome.partition] restricted to the
+    propositions of the subset and the assumptions.  Indices are
+    positions in [outcome.document].  A [Consistent] outcome has
+    nothing to localize ([None], nothing solved); under an
+    [Inconsistent] outcome the whole document takes that verdict
+    without a second solve.
+
+    [memo] and [explicit_session] are the caller's caches, as in
+    {!Localize.run} and {!Pipeline.run_document}.  A memo's verdicts
+    hold for one set of assumptions and one class per proposition:
+    {!Watch} prunes the entries an edit invalidates. *)
+
+val run : Pipeline.options -> Pipeline.outcome -> suggestion
+(** {!localize}, then partition adjustments focused on the located
+    requirements, each checked on the whole document (assumptions
+    included, certification off), then advice.  Requirement numbers
+    in the advice are positions in [outcome.document]. *)

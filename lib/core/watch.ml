@@ -1,5 +1,6 @@
 open Speccc_logic
 open Speccc_translate
+open Speccc_partition
 open Speccc_synthesis
 
 module Verdict_lru = Speccc_cache.Cache.Make (Speccc_cache.Cache.String_key)
@@ -38,8 +39,11 @@ type session = {
   loc_memo : Localize.memo;
   verdicts : (Pipeline.outcome * Localize.result option) Verdict_lru.t;
   mutable last_ids : int list;
-      (* sorted hash-cons ids of the document's formulas at the last
-         cached check — the invalidation baseline *)
+  mutable last_assumptions : int list;
+  mutable last_partition : Partition.t;
+      (* the document's sorted formula ids, sorted assumption ids and
+         partition at the last cached check — the invalidation
+         baseline *)
   mutable seq : int;
   mutable checks : int;
   mutable verdict_hits : int;
@@ -62,6 +66,8 @@ let create ?options doc =
           (Speccc_cache.Cache.capacity ~name:"watch.verdict" ~default:128)
         ();
     last_ids = [];
+    last_assumptions = [];
+    last_partition = { Partition.inputs = []; outputs = [] };
     seq = 0;
     checks = 0;
     verdict_hits = 0;
@@ -142,25 +148,58 @@ let governed (options : Pipeline.options) =
   || options.skip_engines <> [] || options.snapshot <> None
   || Speccc_runtime.Memwatch.level () <> Speccc_runtime.Memwatch.Normal
 
-(* Explicit invalidation: edited-away formulas (their hash-cons ids no
-   longer appear in the document) are dropped from the localize memo
-   and the engine's block/frontier caches.  Correctness never depends
-   on this — both stores are content-addressed — it bounds their
-   growth over a long session. *)
-let invalidate session formulas =
-  let ids = List.sort_uniq Int.compare (List.map Ltl.id formulas) in
-  if ids = session.last_ids then 0
+(* Explicit invalidation after an edit.  Edited-away formulas (their
+   hash-cons ids no longer appear in the document) are dropped from
+   the localize memo and the engine's block/frontier caches; that only
+   bounds growth, since both stores are content-addressed.  A subset
+   verdict also depends on the document's assumptions and on the class
+   of each proposition ({!Refine.localize}), which the ids do not
+   capture: an entry mentioning a formula with a proposition that
+   changed class is dropped, and every entry goes when the assumptions
+   changed or one of their propositions changed class. *)
+let invalidate session (outcome : Pipeline.outcome) =
+  let formulas = outcome.Pipeline.formulas in
+  let sorted_ids fs = List.sort_uniq Int.compare (List.map Ltl.id fs) in
+  let ids = sorted_ids formulas in
+  let assumptions =
+    List.filter_map
+      (fun (item, f) -> if Document.is_assumption item then Some f else None)
+      (List.combine outcome.Pipeline.document formulas)
+  in
+  let assumption_ids = sorted_ids assumptions in
+  let partition = outcome.Pipeline.partition.Partition.partition in
+  if ids = session.last_ids && assumption_ids = session.last_assumptions
+     && partition = session.last_partition
+  then 0
   else begin
-    let retain id = List.mem id ids in
+    let class_of (p : Partition.t) prop =
+      (List.mem prop p.Partition.inputs, List.mem prop p.Partition.outputs)
+    in
+    let moved f =
+      List.exists
+        (fun prop ->
+           class_of session.last_partition prop <> class_of partition prop)
+        (Ltl.props f)
+    in
+    let current = Hashtbl.create 64 in
+    List.iter (fun f -> Hashtbl.replace current (Ltl.id f) f) formulas;
+    let all_stale =
+      assumption_ids <> session.last_assumptions
+      || List.exists moved assumptions
+    in
+    let retain id =
+      match Hashtbl.find_opt current id with
+      | Some f -> not (all_stale || moved f)
+      | None -> false
+    in
     let dropped = Localize.prune_memo session.loc_memo ~retain in
-    Bounded.prune_session session.engine ~retain;
+    Bounded.prune_session session.engine ~retain:(Hashtbl.mem current);
     session.last_ids <- ids;
+    session.last_assumptions <- assumption_ids;
+    session.last_partition <- partition;
     session.invalidated_total <- session.invalidated_total + dropped;
     dropped
   end
-
-let consistent (_, report) =
-  report.Realizability.verdict = Realizability.Consistent
 
 let run session ~cached =
   let options = session.options in
@@ -172,20 +211,11 @@ let run session ~cached =
   let outcome =
     Pipeline.run_document ~options ?parse_cache ?explicit_session session.doc
   in
-  let invalidated =
-    if cached then invalidate session outcome.Pipeline.formulas else 0
-  in
-  (* subset checks never read a witness *)
-  let subset_options = { options with Pipeline.certify = false } in
+  let invalidated = if cached then invalidate session outcome else 0 in
   let localization =
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Inconsistent ->
-      Localize.run ?memo
-        ~check:(fun subset ->
-          consistent
-            (Pipeline.check_formulas ~options:subset_options ?explicit_session
-               subset))
-        outcome.Pipeline.formulas
+      Refine.localize ?memo ?explicit_session options outcome
     | Realizability.Consistent | Realizability.Inconclusive _ -> None
   in
   let engine1 = Bounded.session_stats session.engine in

@@ -13,23 +13,30 @@
       warm-started next to its fixpoint;
     - localization subset verdicts are memoized across checks
       ({!Localize.memo}), so re-localizing after an edit re-checks
-      only subsets that mention an edited formula;
+      only subsets that mention an edited formula or a proposition
+      whose input/output class changed;
     - whole-document verdicts are kept in a content-addressed LRU, so
       reverting an edit is a cache hit.
 
     Every store is content-addressed (sentence text, hash-consed
-    formula ids, canonical document key), so stale reuse is impossible
-    by construction; {!check} additionally prunes entries referring to
-    edited-away formulas, which bounds growth over a long session.
+    formula ids, canonical document key); {!check} additionally prunes
+    entries referring to edited-away formulas, which bounds growth
+    over a long session.  A localization verdict also depends on the
+    document's assumptions and partition, which formula ids do not
+    capture: {!check} drops the memo entries mentioning a formula with
+    a proposition whose input/output class changed, and all of them
+    when the assumptions changed or one of their propositions changed
+    class.
     The invariant the test-suite pins: a {!check} after any edit
     sequence is {e bit-identical} (verdict, witnesses, localization —
     see {!fingerprint}) to {!check_cold} on the same document.
 
     A check is one {!Pipeline.run_document} call handed the session's
-    parse cache and engine session, then {!Localize.run} over
-    {!Pipeline.check_formulas} with the same engine session: the
-    pipeline owns translation, time abstraction, partitioning, the
-    engine ladder with its lint floor, [recover] and [certify].
+    parse cache and engine session, then, for an [Inconsistent]
+    verdict, {!Refine.localize} with the same engine session and the
+    session's memo: the pipeline owns translation, time abstraction,
+    partitioning, the engine ladder with its lint step, [recover] and
+    [certify], and {!Refine} owns stage 3.
     Semantic analysis is document-global, so translation beyond the
     parse, time abstraction and partitioning are recomputed per check
     — they are linear-time and far off the critical path.
@@ -49,9 +56,10 @@ type reuse = {
   blocks_reused : int;  (** arena blocks reused by the explicit engine *)
   solo_reused : int;    (** solo frontiers reused by the explicit engine *)
   invalidated : int;
-      (** stale localization-memo entries dropped after the edit
-          (engine blocks for edited-away formulas are pruned
-          alongside) *)
+      (** localization-memo entries dropped after the edit: those of
+          edited-away formulas and those an input/output class or
+          assumption change made stale (engine blocks for edited-away
+          formulas are pruned alongside) *)
 }
 (** What one {!check} reused from — and invalidated in — the session. *)
 

@@ -388,6 +388,13 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
   (* [detail] is the last inconclusive rung's diagnostics. *)
   let rec descend stages log detail =
     match stages with
+    | [] when assumptions <> [] ->
+      (* The lint pass reads the requirements alone; without the
+         antecedent [∧A] it could refute a document the assumptions
+         make realizable, so it has no say here. *)
+      finish log
+        (bare_report ~engine_used:"none" ~detail
+           (Inconclusive (all_degraded log)))
     | [] ->
       (* No rung concluded: the lint pass is the ladder's last step. *)
       let why = all_degraded log in

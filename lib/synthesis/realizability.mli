@@ -132,7 +132,10 @@ val check :
     conflict" when the pass completed.  A one-rung ladder (a forced
     engine, or the assumption ladder with nothing skipped) whose rung
     completes inconclusive reports that rung's own verdict: no lint
-    step follows it.
+    step follows it.  Nor does one follow under [assumptions]: the
+    pass reads [requirements] without their antecedent, so it could
+    refute a realizable [(∧A) → (∧requirements)].  Such a check that
+    no rung concluded stays [Inconclusive] with engine ["none"].
 
     {b Witnesses.}  [witness] (default [false]) says the caller reads
     the witness.  Unset, a symbolic [Consistent] carries no

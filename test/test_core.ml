@@ -289,6 +289,68 @@ let test_refine_unfixable () =
   Alcotest.(check bool) "advice mentions modification" true
     (String.length suggestion.Refine.advice > 0)
 
+(* --- stage 3 from a checked outcome --- *)
+
+let refine_document text =
+  let outcome =
+    Pipeline.run_document ~options:explicit_options (Document.parse text)
+  in
+  (outcome, Refine.run explicit_options outcome)
+
+let located (suggestion : Refine.suggestion) =
+  match suggestion.Refine.localization with
+  | None -> Alcotest.fail "expected a localization"
+  | Some l -> (l.Localize.culprit, l.Localize.partners)
+
+let test_refine_run_keeps_the_partition () =
+  (* Checked alone under a partition of its own, R2 would have the
+     pump as its forced input and refute itself; under the document's
+     partition the pump is an output, so R2 needs R1 as its partner. *)
+  let _, suggestion =
+    refine_document
+      "R1: If the button is pressed, the pump is started.
+       R2: The pump is not started.
+"
+  in
+  Alcotest.(check (pair int (list int))) "culprit 1 with partner 0"
+    (1, [ 0 ]) (located suggestion)
+
+let test_refine_run_consistent_under_assumptions () =
+  (* Contradictory assumptions make the document vacuously realizable:
+     stage 3 takes the pipeline's verdict and has nothing to do. *)
+  let outcome, suggestion =
+    refine_document
+      "Assume-1: The button is pressed.
+       Assume-2: The button is not pressed.
+       R1: The pump is started.
+       R2: The pump is not started.
+"
+  in
+  Alcotest.(check bool) "consistent" true
+    (is_consistent outcome.Pipeline.report);
+  Alcotest.(check bool) "no localization" true
+    (suggestion.Refine.localization = None)
+
+let test_refine_run_never_blames_an_assumption () =
+  let outcome, suggestion =
+    refine_document
+      "R1: If the pump is lost, the alarm is triggered.
+       Assume-1: The pump is lost.
+       R2: If the pump is lost, the alarm is not triggered.
+"
+  in
+  Alcotest.(check bool) "inconsistent" true
+    (outcome.Pipeline.report.Realizability.verdict
+     = Realizability.Inconsistent);
+  let culprit, partners = located suggestion in
+  Alcotest.(check (pair int (list int))) "document positions" (2, [ 0 ])
+    (culprit, partners);
+  List.iter
+    (fun i ->
+       Alcotest.(check bool) "not an assumption" false
+         (Document.is_assumption (List.nth outcome.Pipeline.document i)))
+    (culprit :: partners)
+
 (* --- environment assumptions --- *)
 
 let test_assumptions_rescue_realizability () =
@@ -551,6 +613,12 @@ let () =
           Alcotest.test_case "suggest end-to-end" `Quick
             test_refine_suggest_end_to_end;
           Alcotest.test_case "unfixable" `Quick test_refine_unfixable;
+          Alcotest.test_case "run keeps the document's partition" `Quick
+            test_refine_run_keeps_the_partition;
+          Alcotest.test_case "run on a consistent document" `Quick
+            test_refine_run_consistent_under_assumptions;
+          Alcotest.test_case "run never blames an assumption" `Quick
+            test_refine_run_never_blames_an_assumption;
         ] );
       ( "assumptions",
         [

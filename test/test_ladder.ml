@@ -261,6 +261,36 @@ let test_lint_step_direct_equals_pipeline () =
     (zero_walls (Realizability.canonical_degradation direct)
      = zero_walls (Realizability.canonical_degradation piped))
 
+(* The lint pass reads the guarantees without their antecedent, so it
+   takes no step under assumptions.  Contradictory assumptions make
+   this document vacuously realizable; with the explicit rung (the
+   assumption ladder's only one) failed, nobody decides, where a lint
+   step would refute the contradictory guarantees. *)
+let test_no_lint_step_under_assumptions () =
+  let document =
+    Document.parse
+      "Assume-1: The button is pressed.
+       Assume-2: The button is not pressed.
+       R1: The pump is started.
+       R2: The pump is not started.
+"
+  in
+  Alcotest.(check string) "clean check" "consistent"
+    (verdict_class
+       (Pipeline.run_document document).Pipeline.report.Realizability.verdict);
+  let outcome =
+    with_faults [ fail_at Fault.Checkpoint.engine_explicit ] (fun () ->
+        Pipeline.run_document document)
+  in
+  let report = outcome.Pipeline.report in
+  Alcotest.(check string) "verdict" "unknown"
+    (verdict_class report.Realizability.verdict);
+  Alcotest.(check string) "engine" "none" report.Realizability.engine_used;
+  Alcotest.(check (list string)) "no lint rung" [ "explicit" ]
+    (List.map
+       (fun rung -> rung.Realizability.rung_engine)
+       report.Realizability.degradation)
+
 (* TELE:4 is too wide for the explicit rung and the symbolic rung
    loses at every lookahead: nobody decided, so the engine is "none",
    while the detail stays the symbolic rung's. *)
@@ -312,5 +342,7 @@ let () =
         [ Alcotest.test_case "direct check equals the pipeline" `Quick
             test_lint_step_direct_equals_pipeline;
           Alcotest.test_case "nobody decided: engine none" `Quick
-            test_nobody_decided ] );
+            test_nobody_decided;
+          Alcotest.test_case "no lint step under assumptions" `Quick
+            test_no_lint_step_under_assumptions ] );
     ]

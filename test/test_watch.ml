@@ -44,21 +44,17 @@ let verdict_class (checked : Watch.checked) =
   | Realizability.Inconclusive _ -> "inconclusive"
 
 (* The full-pipeline reference: verdict class from
-   [Pipeline.run_document], culprit from the localization loop the
-   [localize] subcommand runs (fresh partitions, no session). *)
+   [Pipeline.run_document], culprit from the stage-3 path the
+   [localize] subcommand takes ({!Refine.localize}, no session
+   caches). *)
 let pipeline_reference doc =
   let outcome = Pipeline.run_document ~options:explicit_options doc in
   let culprit =
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Inconsistent ->
-      Localize.run
-        ~check:(fun subset ->
-          let _, report =
-            Pipeline.check_formulas ~options:explicit_options subset
-          in
-          report.Realizability.verdict = Realizability.Consistent)
-        outcome.Pipeline.formulas
-      |> Option.map (fun l -> Document.id_at doc l.Localize.culprit)
+      Refine.localize explicit_options outcome
+      |> Option.map (fun l ->
+          Document.id_at outcome.Pipeline.document l.Localize.culprit)
     | _ -> None
   in
   let verdict =
@@ -142,6 +138,59 @@ let test_assumptions_take_the_stock_path () =
   ok (Watch.edit session ~id:"R2"
         ~text:"If the request is lost, the grant is enabled.");
   ignore (check_against_cold session)
+
+(* Subset verdicts are checked under the document's partition, so an
+   edit that moves a proposition to the other class must invalidate
+   the memo entries of unedited formulas that mention it.  Here the
+   button starts as an input, which makes {R1, R2} inconsistent; the
+   edit to R3 makes it an output, under which {R1, R2} is consistent
+   and the culprit is R3. *)
+let test_class_flip_invalidates_the_memo () =
+  let session =
+    Watch.create ~options:explicit_options
+      (doc_of
+         [
+           ("R1", "If the button is pressed, the pump is started.");
+           ("R2", "If the button is pressed, the pump is not started.");
+           ("R3", "If the alarm is triggered, the valve is opened.");
+         ])
+  in
+  let before = check_against_cold session in
+  Alcotest.(check (option string)) "culprit before the edit" (Some "R2")
+    before.Watch.culprit_id;
+  ok (Watch.edit session ~id:"R3"
+        ~text:"If the alarm is triggered, the button is pressed.");
+  let after = check_against_cold session in
+  Alcotest.(check bool) "the button became an output" true
+    (List.mem "press_button"
+       after.Watch.outcome.Pipeline.partition.Speccc_partition.Partition
+         .partition.Speccc_partition.Partition.outputs);
+  Alcotest.(check (option string)) "culprit after the edit" (Some "R3")
+    after.Watch.culprit_id
+
+(* Every subset is checked under the document's assumptions, so
+   editing an assumption must invalidate every memo entry: under
+   G !press_button, {R1, R2} is consistent and the conflict moves to
+   R3/R4, although no formula of R1-R4 and no class changed. *)
+let test_assumption_edit_invalidates_the_memo () =
+  let session =
+    Watch.create ~options:explicit_options
+      (doc_of
+         [
+           ("Assume-1", "The lock is inactive.");
+           ("R1", "If the button is pressed, the pump is started.");
+           ("R2", "If the button is pressed, the pump is not started.");
+           ("R3", "If the alarm is triggered, the valve is opened.");
+           ("R4", "If the alarm is triggered, the valve is not opened.");
+         ])
+  in
+  let before = check_against_cold session in
+  Alcotest.(check (option string)) "culprit before the edit" (Some "R2")
+    before.Watch.culprit_id;
+  ok (Watch.edit session ~id:"Assume-1" ~text:"The button is not pressed.");
+  let after = check_against_cold session in
+  Alcotest.(check (option string)) "culprit after the edit" (Some "R4")
+    after.Watch.culprit_id
 
 let test_governed_sessions_fall_back () =
   let options = { explicit_options with Pipeline.fuel = Some 2_000_000 } in
@@ -416,6 +465,10 @@ let () =
             test_edit_then_revert_is_noop;
           Alcotest.test_case "assumptions take the stock path" `Quick
             test_assumptions_take_the_stock_path;
+          Alcotest.test_case "class flip invalidates the memo" `Quick
+            test_class_flip_invalidates_the_memo;
+          Alcotest.test_case "assumption edit invalidates the memo" `Quick
+            test_assumption_edit_invalidates_the_memo;
           Alcotest.test_case "governed sessions fall back" `Quick
             test_governed_sessions_fall_back;
           Alcotest.test_case "pipeline = cold watch" `Quick
