@@ -441,6 +441,11 @@ let check_cmd =
       in
       Format.printf "verdict: %s (engine: %s, %.3fs)@." verdict
         report.Realizability.engine_used report.Realizability.wall_time;
+      Option.iter
+        (fun indices ->
+           Format.printf "refuted on: %s@."
+             (String.concat ", " (List.map (Document.id_at []) indices)))
+        report.Realizability.refuted_on;
       print_degradation report;
       Option.iter
         (fun c ->
@@ -1179,7 +1184,10 @@ let report_cmd =
         | None -> ())
      | Realizability.Inconsistent ->
        add "**INCONSISTENT** — provably unrealizable (engine: %s).\n"
-         outcome.Pipeline.report.Realizability.engine_used
+         outcome.Pipeline.report.Realizability.engine_used;
+       Option.iter
+         (fun ids -> add "refuted on: %s\n" (String.concat ", " ids))
+         (Pipeline.refuted_on outcome)
      | Realizability.Inconclusive why -> add "**INCONCLUSIVE** — %s.\n" why);
     (* 7. localization on failure *)
     (match outcome.Pipeline.report.Realizability.verdict with

@@ -216,6 +216,13 @@ let run_document ?options ?parse_cache ?explicit_session document =
 
 let run ?options texts = run_document ?options (Document.of_texts texts)
 
+(* Only assumption-free checks refute on components, so the report's
+   requirement indices are positions in the document. *)
+let refuted_on outcome =
+  Option.map
+    (List.map (Document.id_at outcome.document))
+    outcome.report.Realizability.refuted_on
+
 let pp_outcome ppf outcome =
   Format.fprintf ppf "@[<v>";
   Format.fprintf ppf "requirements: %d@,"
@@ -235,6 +242,9 @@ let pp_outcome ppf outcome =
   Format.fprintf ppf "verdict: %s (engine: %s, %.3fs)" verdict
     outcome.report.Realizability.engine_used
     outcome.report.Realizability.wall_time;
+  Option.iter
+    (fun ids -> Format.fprintf ppf "@,refuted on: %s" (String.concat ", " ids))
+    (refuted_on outcome);
   List.iter
     (fun rung ->
        Format.fprintf ppf "@,degraded: %s — %s (%.3fs)"

@@ -132,4 +132,9 @@ val check_formulas :
     {!Refine}'s subset checks and by specifications authored directly
     in LTL.  [explicit_session] as in {!run_document}. *)
 
+val refuted_on : outcome -> string list option
+(** The ids, in [outcome.document], of the requirements the explicit
+    rung refuted on ([report.refuted_on]); [None] when the verdict did
+    not come from an output component. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

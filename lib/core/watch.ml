@@ -329,6 +329,10 @@ let fingerprint checked =
    | None -> add "|core=-"
    | Some core ->
      add ("|core=" ^ String.concat "," (List.map string_of_int core)));
+  (match report.Realizability.refuted_on with
+   | None -> add "|refuted=-"
+   | Some indices ->
+     add ("|refuted=" ^ String.concat "," (List.map string_of_int indices)));
   (match checked.localization with
    | None -> add "|localize=-"
    | Some loc ->

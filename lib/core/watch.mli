@@ -124,7 +124,8 @@ val counters : session -> counters
 val fingerprint : checked -> string
 (** Canonical rendering of everything the check claims: verdict class,
     engine, controller (materialized transition-by-transition),
-    counterstrategy, unsat core and localization.  Two checks of the
-    same document under the same options must produce equal
-    fingerprints, whatever session state they started from — the
-    incremental-vs-cold identity the tests assert. *)
+    counterstrategy, unsat core, the requirements a component refuted
+    on, and localization.  Two checks of the same document under the
+    same options must produce equal fingerprints, whatever session
+    state they started from — the incremental-vs-cold identity the
+    tests assert. *)

@@ -73,6 +73,9 @@ let child parent ~fuel =
   reserve parent
     ~fuel:(if parent.infinite then fuel else min fuel parent.fuel)
 
+let detach parent =
+  { parent with until_poll = parent.poll_every; steps = 0; snapshot = None }
+
 let slot budget = budget.snapshot
 
 let publish budget snap =

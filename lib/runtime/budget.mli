@@ -69,6 +69,13 @@ val reserve : t -> fuel:int -> t
     (the ladder's lint floor, the pipeline's certification), still
     bound by the parent's deadline and cancellation token. *)
 
+val detach : t -> t
+(** A sub-budget with all of the parent's remaining fuel (unlimited
+    when the parent is), its deadline and its cancellation token, but
+    no snapshot slot: for work that must neither publish nor resume
+    anytime progress, such as the explicit rung's component games.
+    Charge the spend back with {!absorb}. *)
+
 val absorb : t -> t -> unit
 (** [absorb parent c] debits [spent c] from [parent]'s fuel (saturating
     at zero) and adds it to [spent parent].  Call once per child. *)

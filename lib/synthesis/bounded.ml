@@ -435,6 +435,45 @@ let refute counterstrategy machine =
   in
   play counterstrategy.cs_initial machine.Mealy.initial [] 0
 
+(* Bit [k] of a component's own mask is bit [positions.(k)] of the
+   whole alphabet's mask. *)
+let lift cs ~inputs ~outputs =
+  let positions own wide =
+    Array.of_list
+      (List.map
+         (fun p ->
+            match List.find_index (String.equal p) wide with
+            | Some i -> i
+            | None ->
+              invalid_arg ("Bounded.lift: " ^ p ^ " is not in the alphabet"))
+         own)
+  in
+  let input_bits = positions cs.cs_inputs inputs in
+  let output_bits = positions cs.cs_outputs outputs in
+  let widen mask =
+    let wide = ref 0 in
+    Array.iteri
+      (fun k bit ->
+         if mask land (1 lsl k) <> 0 then wide := !wide lor (1 lsl bit))
+      input_bits;
+    !wide
+  in
+  let narrow wide =
+    let mask = ref 0 in
+    Array.iteri
+      (fun k bit ->
+         if wide land (1 lsl bit) <> 0 then mask := !mask lor (1 lsl k))
+      output_bits;
+    !mask
+  in
+  {
+    cs with
+    cs_inputs = inputs;
+    cs_outputs = outputs;
+    cs_move = (fun state -> widen (cs.cs_move state));
+    cs_next = (fun state omask -> cs.cs_next state (narrow omask));
+  }
+
 let fits ?(max_letters = 4096) ~inputs ~outputs () =
   let bits = List.length inputs + List.length outputs in
   bits <= 24 && 1 lsl bits <= max_letters

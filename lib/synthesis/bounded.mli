@@ -49,6 +49,18 @@ val refute : counterstrategy -> Mealy.t -> Speccc_logic.Trace.t
     from.  Raises [Invalid_argument] when the proposition interfaces
     disagree. *)
 
+val lift :
+  counterstrategy -> inputs:string list -> outputs:string list ->
+  counterstrategy
+(** [lift cs ~inputs ~outputs] plays [cs], won over a sub-alphabet,
+    over the wider alphabet [inputs]/[outputs], which must contain
+    [cs]'s own propositions: inputs [cs] does not mention stay 0, and
+    outputs it does not mention are ignored.  Unrealizability is
+    upward closed, so a counterstrategy for a sub-conjunction lifted
+    this way beats every controller for any conjunction containing
+    it.  States and moves are [cs]'s own.  Raises [Invalid_argument]
+    when a proposition of [cs] is missing from the wider alphabet. *)
+
 val fits :
   ?max_letters:int -> inputs:string list -> outputs:string list -> unit -> bool
 (** Does the alphabet fit the letter budget ([max_letters], default

@@ -21,6 +21,7 @@ type report = {
   controller : Mealy.t option;
   counterstrategy : Bounded.counterstrategy option;
   unsat_core : int list option;
+  refuted_on : int list option;
   wall_time : float;
   detail : string;
   degradation : rung list;
@@ -161,10 +162,82 @@ let explicit_report solve =
     controller;
     counterstrategy;
     unsat_core = None;
+    refuted_on = None;
     wall_time = 0.;
     detail;
     degradation = [];
   }
+
+(* ---------- refutation on output components ----------
+
+   Unrealizability is upward closed: when a sub-conjunction is
+   unrealizable over its own propositions, the environment strategy
+   that beats it, lifted to the whole alphabet ({!Bounded.lift}), beats
+   every controller for the whole conjunction.  Before the explicit
+   rung plays the whole game, it plays the liveness-free requirements
+   split into the connected components of the graph whose edges join
+   requirements sharing an output: each game is over a few
+   propositions, where the whole one may be over too many. *)
+
+let output_components ~outputs requirements =
+  let merge components (i, formula) =
+    let owned = List.filter (fun p -> List.mem p outputs) (Ltl.props formula) in
+    let touching, apart =
+      List.partition
+        (fun (_, props) -> List.exists (fun p -> List.mem p owned) props)
+        components
+    in
+    ( List.concat_map fst touching @ [ i ],
+      List.concat_map snd touching @ owned )
+    :: apart
+  in
+  List.mapi (fun i formula -> (i, formula)) requirements
+  |> List.filter (fun (_, formula) -> not (Classify.has_liveness formula))
+  |> List.fold_left merge []
+  |> List.map (fun (indices, _) -> List.sort Int.compare indices)
+  |> List.sort compare
+
+(* The first component the environment wins over its own alphabet, as
+   a report carrying the lifted counterstrategy; [None] when every
+   component was won by the system, undecided or skipped, or the
+   budget's fuel ran out.  Components run without the caller's
+   session, whose blocks are tied to the whole alphabet, and without
+   the snapshot slot, like the solver's solo games. *)
+let refute_on_components ~budget ~bound ~inputs ~outputs requirements =
+  let whole = List.length requirements in
+  let attempt indices =
+    let formulas = List.map (List.nth requirements) indices in
+    let props = List.concat_map Ltl.props formulas in
+    let restrict = List.filter (fun p -> List.mem p props) in
+    let own_inputs = restrict inputs and own_outputs = restrict outputs in
+    if List.length indices = whole
+    || not (Bounded.fits ~inputs:own_inputs ~outputs:own_outputs ())
+    then None
+    else
+      let detached = Budget.detach budget in
+      match
+        Fun.protect
+          ~finally:(fun () -> Budget.absorb budget detached)
+          (fun () ->
+             Bounded.solve ~budget:detached ~max_bound:bound
+               ~inputs:own_inputs ~outputs:own_outputs formulas)
+      with
+      | Bounded.Unrealizable cs ->
+        let lifted = Bounded.lift cs ~inputs ~outputs in
+        Some
+          {
+            (explicit_report (fun () -> Bounded.Unrealizable lifted)) with
+            refuted_on = Some indices;
+            detail =
+              Printf.sprintf
+                "environment wins the dual game on requirements %s over \
+                 their own propositions (counterstrategy lifted)"
+                (String.concat ", " (List.map string_of_int indices));
+          }
+      | Bounded.Realizable _ | Bounded.Unknown _ -> None
+  in
+  try List.find_map attempt (output_components ~outputs requirements)
+  with Runtime.Interrupt (Runtime.Fuel_exhausted _) -> None
 
 let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
   let had_liveness = Classify.has_liveness spec in
@@ -239,6 +312,7 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
       controller;
       counterstrategy = None;
       unsat_core = None;
+      refuted_on = None;
       wall_time = 0.;
       detail =
         Printf.sprintf "%s lookahead=%d" (Obligation.stats strategy) bound;
@@ -259,6 +333,7 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
       controller = None;
       counterstrategy = None;
       unsat_core = None;
+      refuted_on = None;
       wall_time = 0.;
       detail;
       degradation = [];
@@ -286,6 +361,7 @@ let bare_report ~engine_used ~detail verdict =
     controller = None;
     counterstrategy = None;
     unsat_core = None;
+    refuted_on = None;
     wall_time = 0.;
     detail;
     degradation = [];
@@ -307,15 +383,27 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
   let run_stage stage rung_budget =
     match stage with
     | `Symbolic ->
-      run_symbolic ~budget:rung_budget ~witness ~lookahead ~inputs ~outputs
-        spec
+      Some
+        (run_symbolic ~budget:rung_budget ~witness ~lookahead ~inputs
+           ~outputs spec)
     | `Explicit ->
       (* With assumptions the spec is an implication, not a plain
-         conjunction: one block. *)
-      let formulas = if assumptions = [] then requirements else [ spec ] in
-      explicit_report (fun () ->
-          Bounded.solve ~budget:rung_budget ?session:explicit_session
-            ~max_bound:bound ~inputs ~outputs formulas)
+         conjunction: one block, and no components to refute on. *)
+      let refuted =
+        if assumptions <> [] then None
+        else
+          refute_on_components ~budget:rung_budget ~bound ~inputs ~outputs
+            requirements
+      in
+      (match refuted with
+       | Some report -> Some report
+       | None when not (Bounded.fits ~inputs ~outputs ()) -> None
+       | None ->
+         let formulas = if assumptions = [] then requirements else [ spec ] in
+         Some
+           (explicit_report (fun () ->
+                Bounded.solve ~budget:rung_budget ?session:explicit_session
+                  ~max_bound:bound ~inputs ~outputs formulas)))
   in
   let forced = engine <> Auto in
   let stages =
@@ -428,34 +516,37 @@ let check ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(skip = [])
          finish
            (lint_rung outcome (Some error) :: log)
            (bare_report ~engine_used:"none" ~detail (Inconclusive why)))
-    | `Explicit :: rest when not (Bounded.fits ~inputs ~outputs ()) ->
-      (* inapplicable, forced or not: recorded only once reached *)
-      let why =
-        Printf.sprintf
-          "%d propositions exceed the explicit engine's letter budget"
-          (List.length inputs + List.length outputs)
-      in
-      descend rest (skipped_rung `Explicit why :: log) detail
     | stage :: rest ->
       (match run_rung ~last:(rest = []) stage with
-       | Ok ({ verdict = Inconsistent; counterstrategy = None; _ } as report), _
-         when witness && List.mem `Explicit rest
-              && Bounded.fits ~inputs ~outputs () ->
+       | Ok None, rung_wall ->
+         (* No component refuted and the whole alphabet is too wide:
+            inapplicable, forced or not, recorded only once reached. *)
+         let why =
+           Printf.sprintf
+             "%d propositions exceed the explicit engine's letter budget"
+             (List.length inputs + List.length outputs)
+         in
+         descend rest
+           ({ (skipped_rung stage why) with rung_wall } :: log)
+           detail
+       | Ok (Some ({ verdict = Inconsistent; counterstrategy = None; _ }
+                   as report)), _
+         when witness && List.mem `Explicit rest ->
          (* A symbolic refutation carries no counterstrategy; a caller
             that reads the witness gets one from the explicit rung's
             dual game, and keeps the symbolic verdict if that rung
             cannot produce it. *)
          (match run_rung ~last:false `Explicit with
-          | Ok ({ verdict = Inconsistent; _ } as explicit), _ ->
+          | Ok (Some ({ verdict = Inconsistent; _ } as explicit)), _ ->
             finish log explicit
           | _ -> finish log report)
-       | Ok ({ verdict = Consistent | Inconsistent; _ } as report), _ ->
+       | Ok (Some ({ verdict = Consistent | Inconsistent; _ } as report)), _ ->
          finish log report
-       | Ok report, _ when rest = [] && log = [] ->
+       | Ok (Some report), _ when rest = [] && log = [] ->
          (* a one-rung ladder (a forced engine) reports that engine's
             own inconclusive verdict *)
          finish log report
-       | Ok ({ verdict = Inconclusive why; _ } as report), rung_wall ->
+       | Ok (Some ({ verdict = Inconclusive why; _ } as report)), rung_wall ->
          let rung =
            {
              rung_engine = stage_name stage;

@@ -13,9 +13,12 @@
       as G4LTL's unroll parameter does.
     - [Explicit]: exact bounded synthesis with a dual-game
       unrealizability check ({!Bounded}), the last rung; cost is
-      exponential in the number of propositions, so the rung is
-      skipped when the alphabet exceeds the engine's letter budget
-      ({!Bounded.fits}).
+      exponential in the number of propositions.  Without assumptions
+      the rung first tries to refute on output components (see
+      {!check}), each game over the component's own propositions, and
+      only then plays the whole conjunction; the letter budget
+      ({!Bounded.fits}) applies per component and to the whole game,
+      which is skipped when the whole alphabet exceeds it.
 
     [Auto] runs the whole ladder; forcing [Explicit] or [Symbolic]
     runs that single rung.  The lint step is not a rung: it runs
@@ -57,6 +60,12 @@ type report = {
           requirement indices whose conjunction admits no behaviour at
           all.  Engines that prove unrealizability game-theoretically
           leave this [None] and ship a [counterstrategy] instead. *)
+  refuted_on : int list option;
+      (** present when the explicit rung refuted on an output
+          component: the 0-based indices of the requirements whose
+          conjunction alone is unrealizable over its own propositions.
+          The [counterstrategy] is that component's, lifted to the
+          whole alphabet. *)
   wall_time : float;             (** seconds (all rungs included) *)
   detail : string;               (** engine diagnostics *)
   degradation : rung list;
@@ -110,11 +119,12 @@ val check :
     exhaustion, engine failure or inconclusive verdict drops to the
     next rung and is recorded in [report.degradation].  Forcing
     [engine] runs that single rung, whose report — inconclusive or
-    not — is the result.  An explicit rung whose alphabet
-    exceeds the engine's letter budget is skipped as inapplicable,
-    forced or not.  A call without [budget] is the same ladder under
-    an unlimited budget.  Under a finite budget every rung but the
-    last gets half of the remaining fuel (the last gets all of it).
+    not — is the result.  An explicit rung whose whole alphabet
+    exceeds the engine's letter budget, and which no output component
+    refutes, is skipped as inapplicable, forced or not.  A call
+    without [budget] is the same ladder under an unlimited budget.
+    Under a finite budget every rung but the last gets half of the
+    remaining fuel (the last gets all of it).
 
     {b The lint step.}  When no rung concluded — every rung degraded,
     was skipped or was inconclusive, and neither the deadline nor
@@ -162,13 +172,31 @@ val check :
     degraded.  Under the hard memory watermark the [Auto] ladder
     collapses to its last rung, the explicit one.
 
-    The explicit rung is one {!Bounded.solve} call: over the
-    requirement list (one block per requirement), or over the single
-    implication when [assumptions] are given.  [explicit_session] only
-    shares that solver's caches across calls — arena blocks and solo
-    frontiers of unchanged requirement formulas; without it each call
-    uses a fresh session.  The verdict and witness are the same with
-    or without it.
+    {b The explicit rung.}  With [assumptions] it is one
+    {!Bounded.solve} call over the single implication.  Without them
+    it first runs a refutation pass: the requirements without liveness
+    ({!Speccc_logic.Classify.has_liveness}) are split into the
+    connected components of the graph whose edges join requirements
+    that share an output, and each component, in order of its lowest
+    requirement index, is solved over its own propositions (the
+    check's inputs and outputs that its requirements mention).  A
+    component that is the whole requirement list, or whose alphabet
+    exceeds the letter budget, is skipped.  The first component the
+    environment wins ends the rung: the verdict is [Inconsistent] by
+    ["explicit"], [refuted_on] names the component, and the
+    counterstrategy is the component's lifted by {!Bounded.lift}.
+    Sound because unrealizability is upward closed.  Components run
+    on the rung's fuel but without [explicit_session] and without the
+    budget's snapshot slot: they neither publish nor resume anytime
+    progress, and fuel running out in a component ends the pass
+    without a refutation.  When no component refutes, the rung plays
+    the requirement list (one block per requirement) in one
+    {!Bounded.solve} call, or is logged as skipped when the whole
+    alphabet exceeds the letter budget.  [explicit_session] only
+    shares the whole game's caches across calls — arena blocks and
+    solo frontiers of unchanged requirement formulas; without it each
+    call uses a fresh session.  The verdict and witness are the same
+    with or without it.
 
     [assumptions] are environment hypotheses [A]: the checked formula
     becomes [(∧A) → (∧requirements)], so the system need only comply

@@ -5,9 +5,11 @@
 #   - every edit produced a verdict event, all of them consistent,
 #   - the session actually reused engine state (arena blocks),
 #   - the p95 per-edit wall stays under the latency budget.
-# Then a second, short session makes one conflicting edit on a small
-# document and asserts that its verdict is inconsistent and that it
-# names the culprit `speccc localize` names for the edited document.
+# Then a second, short session makes one conflicting edit on the same
+# document and asserts that its verdict is inconsistent, that it names
+# the culprit `speccc localize` names for the edited document, and that
+# the conflicting edit's wall stays under 1000 ms (the explicit rung
+# refutes on an output component instead of playing the whole game).
 #
 # Usage: scripts/watch_smoke.sh [path/to/speccc_cli.exe]
 # Env:   SPECCC_WATCH_BUDGET_MS  p95 budget in milliseconds (default 1000)
@@ -88,22 +90,15 @@ print("watch smoke: OK")
 PY
 
 # --- conflict session: one edit that breaks consistency
-small="$dir/small.spec"
-cat > "$small" <<'EOF'
-R1: If the button is pressed, the pump is started.
-R2: If the occlusion is present, the alarm is triggered.
-R3: If the pressure is high, the valve is opened.
-R4: When the pump is started, eventually the cuff is inflated.
-EOF
 conflict='If the button is pressed, the pump is not started.'
 edited="$dir/edited.spec"
-sed "s/^R3: .*/R3: $conflict/" "$small" > "$edited"
+sed "s/^R9: .*/R9: $conflict/" "$doc" > "$edited"
 
 out2="$dir/conflict.jsonl"
 printf '%s\n' \
-  "{\"cmd\":\"edit\",\"id\":\"R3\",\"text\":\"$conflict\"}" \
+  "{\"cmd\":\"edit\",\"id\":\"R9\",\"text\":\"$conflict\"}" \
   '{"cmd":"quit"}' \
-  | "$BIN" watch "$small" --engine explicit > "$out2"
+  | "$BIN" watch "$doc" --engine explicit > "$out2"
 loc="$dir/localize.txt"
 "$BIN" localize "$edited" --engine explicit > "$loc"
 
@@ -129,5 +124,7 @@ expected = re.search(r"^\s*\[" + index + r" = ([^\]]+)\]", text, re.M).group(1)
 assert edit.get("culprit") == expected, \
     f"watch culprit {edit.get('culprit')} != localize culprit {expected}"
 print(f"conflict culprit: {expected}")
+assert edit["wall_ms"] < 1000, f"conflict edit took {edit['wall_ms']:.3f}ms"
+print(f"conflict edit wall: {edit['wall_ms']:.3f}ms")
 print("watch conflict smoke: OK")
 PY

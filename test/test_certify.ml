@@ -172,6 +172,7 @@ let test_inconclusive_has_no_witness () =
       controller = None;
       counterstrategy = None;
       unsat_core = None;
+      refuted_on = None;
       wall_time = 0.;
       detail = "";
       degradation = [];
@@ -193,6 +194,7 @@ let test_out_of_range_core_rejected () =
       controller = None;
       counterstrategy = None;
       unsat_core = Some [ 0; 7 ];
+      refuted_on = None;
       wall_time = 0.;
       detail = "";
       degradation = [];

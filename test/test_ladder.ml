@@ -291,24 +291,28 @@ let test_no_lint_step_under_assumptions () =
        (fun rung -> rung.Realizability.rung_engine)
        report.Realizability.degradation)
 
-(* TELE:4 is too wide for the explicit rung and the symbolic rung
-   loses at every lookahead: nobody decided, so the engine is "none",
-   while the detail stays the symbolic rung's. *)
+(* A wide document that nobody decides: [G (i -> F o)] and
+   [G (j -> !o)] conflict only through the eventuality, so the
+   symbolic rung loses at every lookahead, the one liveness-free
+   output component {[G (j -> !o)]} is realizable, the six padding
+   components are too, 16 propositions keep the whole game off the
+   explicit rung, and the pair is satisfiable, so lint finds nothing.
+   The engine is "none", while the detail stays the symbolic rung's. *)
 let test_nobody_decided () =
-  let texts =
-    match
-      List.find_opt
-        (fun row -> row.Table1.group = "TELE" && row.Table1.row_id = "4")
-        Table1.rows
-    with
-    | Some { Table1.source = Table1.Sentences texts; _ } -> texts
-    | Some _ | None -> Alcotest.fail "no TELE:4 row"
+  let padding =
+    List.init 6 (fun k -> Printf.sprintf "G (a%d -> b%d)" k k)
   in
-  let outcome = Pipeline.run texts in
-  let partition = outcome.Pipeline.partition.Partition.partition in
-  let report =
+  let formulas =
+    List.map parse ([ "G (i -> F o)"; "G (j -> !o)" ] @ padding)
+  in
+  let partition =
+    { Partition.inputs = [ "i"; "j" ] @ List.init 6 (Printf.sprintf "a%d");
+      outputs = "o" :: List.init 6 (Printf.sprintf "b%d") }
+  in
+  let _, piped = Pipeline.check_formulas ~partition formulas in
+  let direct =
     Realizability.check ~inputs:partition.Partition.inputs
-      ~outputs:partition.Partition.outputs outcome.Pipeline.formulas
+      ~outputs:partition.Partition.outputs formulas
   in
   List.iter
     (fun (label, report) ->
@@ -320,7 +324,112 @@ let test_nobody_decided () =
          "eventualities were bounded before solving; a larger lookahead \
           may succeed"
          report.Realizability.detail)
-    [ ("pipeline", outcome.Pipeline.report); ("direct", report) ]
+    [ ("pipeline", piped); ("direct", direct) ]
+
+(* ---------- refutation on output components ---------- *)
+
+let certified label formulas report =
+  match Certify.apply ~assumptions:[] formulas report with
+  | _, Certify.Certified _ -> ()
+  | _, (Certify.Rejected why | Certify.No_witness why) ->
+    Alcotest.fail (label ^ ": counterstrategy not certified: " ^ why)
+
+let refuted label ~expected (outcome : Pipeline.outcome) =
+  let report = outcome.Pipeline.report in
+  Alcotest.(check string) (label ^ ": verdict") "inconsistent"
+    (verdict_class report.Realizability.verdict);
+  Alcotest.(check string) (label ^ ": engine") "explicit"
+    report.Realizability.engine_used;
+  Alcotest.(check (option (list int))) (label ^ ": refuted on")
+    (Some expected) report.Realizability.refuted_on;
+  certified label outcome.Pipeline.formulas report
+
+(* The edit workload's conflict document: the live document's R1-R6
+   and its two liveness sentences, R3 turned against R1.  The symbolic
+   rung is inconclusive; the component {R1, R3}, which shares the
+   pump, refutes over three propositions. *)
+let test_edit_conflict_refuted () =
+  let outcome =
+    Pipeline.run
+      [ "If the button is pressed, the pump is started.";
+        "If the occlusion is present, the alarm is triggered.";
+        "If the button is pressed, the pump is not started.";
+        "If the signal is low, the monitor is enabled.";
+        "If the button is pressed, the monitor is enabled.";
+        "If the occlusion is present, the valve is opened.";
+        "When the pump is started, eventually the cuff is inflated.";
+        "When the valve is opened, eventually the cuff is inflated." ]
+  in
+  refuted "edit conflict" ~expected:[ 0; 2 ] outcome;
+  let partition = outcome.Pipeline.partition.Partition.partition in
+  match
+    Bounded.solve ~inputs:partition.Partition.inputs
+      ~outputs:partition.Partition.outputs outcome.Pipeline.formulas
+  with
+  | Bounded.Unrealizable _ -> ()
+  | Bounded.Realizable _ | Bounded.Unknown _ ->
+    Alcotest.fail "the whole conjunction is not unrealizable"
+
+let table_texts group row_id =
+  match
+    List.find_opt
+      (fun row -> row.Table1.group = group && row.Table1.row_id = row_id)
+      Table1.rows
+  with
+  | Some { Table1.source = Table1.Sentences texts; _ } -> texts
+  | Some _ | None -> Alcotest.fail ("no sentence row " ^ group ^ ":" ^ row_id)
+
+(* TELE:4's 22 propositions exceed the letter budget, but its R14 and
+   R15 refute over three. *)
+let test_tele4_refuted () =
+  refuted "TELE:4" ~expected:[ 13; 14 ] (Pipeline.run (table_texts "TELE" "4"))
+
+let definite = function
+  | Bounded.Realizable _ -> Some "consistent"
+  | Bounded.Unrealizable _ -> Some "inconsistent"
+  | Bounded.Unknown _ -> None
+
+let spec_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+       Speccc_diffcheck.Gen.ltl_spec (Speccc_diffcheck.Prng.make seed))
+    QCheck2.Gen.int
+
+let print_spec (spec : Speccc_diffcheck.Case.ltl_spec) =
+  Printf.sprintf "inputs [%s], outputs [%s]: %s"
+    (String.concat " " spec.inputs) (String.concat " " spec.outputs)
+    (String.concat " && " (List.map Ltl_print.to_string spec.formulas))
+
+(* The pass never changes the explicit rung's answer where the whole
+   game has one, and every part it refutes on is unrealizable over its
+   own alphabet. *)
+let prop_components_agree =
+  QCheck2.Test.make ~count:300 ~print:print_spec
+    ~name:"component refutation agrees with the whole game" spec_gen
+    (fun (spec : Speccc_diffcheck.Case.ltl_spec) ->
+       let inputs = spec.inputs and outputs = spec.outputs in
+       let report =
+         Realizability.check ~engine:Realizability.Explicit ~inputs ~outputs
+           spec.formulas
+       in
+       let agrees =
+         match definite (Bounded.solve ~inputs ~outputs spec.formulas) with
+         | Some whole -> verdict_class report.Realizability.verdict = whole
+         | None -> true
+       in
+       let part_unrealizable =
+         match report.Realizability.refuted_on with
+         | None -> true
+         | Some indices ->
+           let formulas = List.map (List.nth spec.formulas) indices in
+           let props = List.concat_map Ltl.props formulas in
+           let restrict = List.filter (fun p -> List.mem p props) in
+           definite
+             (Bounded.solve ~inputs:(restrict inputs)
+                ~outputs:(restrict outputs) formulas)
+           = Some "inconsistent"
+       in
+       agrees && part_unrealizable)
 
 let () =
   Alcotest.run "ladder"
@@ -345,4 +454,10 @@ let () =
             test_nobody_decided;
           Alcotest.test_case "no lint step under assumptions" `Quick
             test_no_lint_step_under_assumptions ] );
+      ( "components",
+        [ Alcotest.test_case "edit conflict refuted on {R1, R3}" `Quick
+            test_edit_conflict_refuted;
+          Alcotest.test_case "TELE:4 refuted on {R14, R15}" `Quick
+            test_tele4_refuted;
+          QCheck_alcotest.to_alcotest prop_components_agree ] );
     ]
