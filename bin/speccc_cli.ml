@@ -304,7 +304,7 @@ let fsync_arg =
 
 (* --inject CHECKPOINT[@AFTER]=ACTION[:ARG] — install a deterministic
    fault plan before the run (chaos drills from the command line).
-   Examples: engine.symbolic=fail:boom, sat.solve@2=exhaust,
+   Examples: engine.symbolic=fail:boom, timeabs.solve=exhaust,
    server.request@1=delay:0.5, witness.controller=corrupt. *)
 let inject_arg =
   Arg.(value & opt_all string []

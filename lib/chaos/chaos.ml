@@ -159,7 +159,8 @@ let watchdogged site =
        (fun prefix ->
           String.length site > String.length prefix
           && String.sub site 0 (String.length prefix) = prefix)
-       [ "engine."; "bdd."; "sat."; "tableau."; "witness."; "pipeline." ]
+       [ "engine."; "bdd."; "sat."; "timeabs."; "tableau."; "witness.";
+         "pipeline." ]
 
 let fired_escalating_delay (w : Workload.t) run =
   List.exists

@@ -88,8 +88,11 @@ val abstract_times :
   Speccc_logic.Ltl.t list ->
   Speccc_logic.Ltl.t list * Speccc_timeabs.Timeabs.solution option
 (** The time-abstraction stage on its own: collect the θ constants,
-    solve for a divisor (per [options.time_budget]) and rewrite the
-    formulas.  Exposed
+    solve for a divisor and rewrite the formulas.  Under
+    [options.time_budget = Some b] the divisor is the Sec. IV-E
+    optimum from {!Speccc_timeabs.Timeabs.solve_analytic} (the
+    [timeabs.solve] checkpoint fires first); under [None] it is the
+    exact GCD.  Exposed
     so a benchmark can time this layer on its own; every check runs
     it inside {!run_document}. *)
 

@@ -405,6 +405,15 @@ let check_solution ~name ~thetas ~domains ~budget (sol : Timeabs.solution) =
          sol.Timeabs.x_total !x_sum);
   List.rev !checks
 
+let render_solution (sol : Timeabs.solution) =
+  Printf.sprintf "d=%d: %s" sol.Timeabs.divisor
+    (String.concat ", "
+       (List.map
+          (fun r ->
+             Printf.sprintf "%d->%d (delta %d)" r.Timeabs.theta
+               r.Timeabs.theta' r.Timeabs.delta)
+          sol.Timeabs.rewrites))
+
 let timeabs_oracles ~buggy ~thetas ~domains ~budget =
   match Timeabs.problem_checked ~budget ~domains thetas with
   | Error _ -> []
@@ -426,6 +435,22 @@ let timeabs_oracles ~buggy ~thetas ~domains ~budget =
              smt.Timeabs.x_total smt.Timeabs.error_total;
          ]
        else [])
+    @ (* With every domain [Nonnegative] the optimum fixes the divisor
+         (d = (Σθ − Σ|Δ|) / ΣX) and every rewrite, so the two solvers
+         must agree on the whole solution: the pipeline runs the
+         analytic one in place of the paper's encoding on exactly
+         these problems.  ΣX = 0, reachable only under the legacy
+         collapse, leaves d free. *)
+    (if
+       List.for_all (( = ) Timeabs.Nonnegative) prob.Timeabs.domains
+       && analytic.Timeabs.x_total > 0
+       && analytic <> smt
+     then
+       [
+         div "timeabs" "analytic solution (%s) differs from SMT solution (%s)"
+           (render_solution analytic) (render_solution smt);
+       ]
+     else [])
     @
     (* The exact GCD rewriting is always feasible, so the optimum can
        never need more X operators than it does. *)

@@ -24,7 +24,9 @@
     antonym-merge law (swapping an absorbing adjective for its partner
     negates exactly the subject literal), the time-abstraction
     constraint system (θ = θ'·d + Δ, |Δ| < d, θ' ≥ 1, ΣΔ ≤ budget,
-    domains after duplicate merge), analytic/SMT objective agreement,
+    domains after duplicate merge), analytic/SMT objective agreement
+    (and whole-solution agreement — divisor and every rewrite — when
+    every domain is [Nonnegative], the pipeline's case),
     GCD-feasibility dominance, and partition disjointness /
     move-conflict rejection / idempotence. *)
 

@@ -189,6 +189,10 @@ module Checkpoint = struct
         List.exists (fun e -> e.name = name && e.corrupt_site) !registry)
 
   let sat_solve = register "sat.solve" "CDCL solver entry (lib/sat)"
+  let timeabs_solve =
+    register "timeabs.solve"
+      "Sec. IV-E time-abstraction solve, once per timed document \
+       checked under a time budget (lib/core)"
   let tableau_expand =
     register "tableau.expand"
       "each GPVW tableau node expansion (lib/automata)"

@@ -118,6 +118,11 @@ module Checkpoint : sig
   (** Whether the named site was registered as corrupt-capable. *)
 
   val sat_solve : string
+
+  val timeabs_solve : string
+  (** announced by the pipeline before it solves the Sec. IV-E
+      optimum of a non-empty Θ under a time budget *)
+
   val tableau_expand : string
   val bdd_fixpoint : string
   val engine_symbolic : string

@@ -20,13 +20,20 @@
     two-objective problem (minimize [Σθ'i], then [Σ|Δi|]) is reduced
     to lexicographic single-objective optimization, solved either by
 
+    - {!solve_analytic}: exact divisor enumeration — what the pipeline
+      uses ([Speccc_core.Pipeline.abstract_times]), or
     - {!solve_smt}: bit-blasting over the bundled SAT solver — the
       paper's strategy ("efficiently solved by modern SMT solvers via
-      bit-blasting"), or
-    - {!solve_analytic}: exact divisor enumeration (cross-check
-      baseline), or
+      bit-blasting"), kept as the cross-check the tests, the
+      differential oracle and the time-abstraction ablation run, or
     - {!gcd_solution}: the conservative GCD rewriting the paper
-      presents first. *)
+      presents first (the pipeline's choice without a budget).
+
+    The pipeline's problems have every domain [Nonnegative].  There
+    θ'i = ⌊θi / d⌋, so Σ|Δi| = Σθi − d·Σθ'i and the lexicographic
+    optimum fixes d = (Σθi − Σ|Δi|) / Σθ'i: both solvers return the
+    same whole {!solution}, divisor and rewrites included.  (Under
+    [allow_zero_theta] an optimum with Σθ' = 0 leaves d free.) *)
 
 type delta_domain =
   | Nonnegative  (** the event may arrive early: Δ ∈ [0, d) *)
@@ -80,12 +87,13 @@ val gcd_solution : int list -> solution
 
 val solve_analytic : ?allow_zero_theta:bool -> problem -> solution
 (** Exact lexicographic optimum by enumerating divisors (1..max Θ) and
-    per-θ floor/ceil choices.  [allow_zero_theta] (default [false])
-    re-admits the legacy θ' = 0 collapse — test/reproduction only;
-    never enable it in the pipeline. *)
+    per-θ floor/ceil choices, in microseconds.  [allow_zero_theta]
+    (default [false]) re-admits the legacy θ' = 0 collapse —
+    test/reproduction only; never enable it in the pipeline. *)
 
 val solve_smt : ?allow_zero_theta:bool -> problem -> solution
-(** Same optimum through the bit-blasting SMT encoding; same
+(** Same optimum through the bit-blasting SMT encoding (milliseconds
+    on two θ, tens of milliseconds on CARA's three); same
     [allow_zero_theta] escape hatch. *)
 
 val apply : solution -> Speccc_logic.Ltl.t -> Speccc_logic.Ltl.t

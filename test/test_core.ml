@@ -498,7 +498,13 @@ let test_cara_working_modes_translate_and_check () =
      Alcotest.(check bool) "no collapsed chain" true
        (List.for_all
           (fun r -> r.Speccc_timeabs.Timeabs.theta' >= 1)
-          solution.Speccc_timeabs.Timeabs.rewrites)
+          solution.Speccc_timeabs.Timeabs.rewrites);
+     (* the pipeline's exact divisor search lands on the paper's
+        bit-blasted optimum, rewrites included *)
+     Alcotest.(check bool) "solution = solve_smt" true
+       (solution
+        = Speccc_timeabs.Timeabs.(
+            solve_smt (problem ~budget:5 [ 180; 60; 3 ])))
    | None -> Alcotest.fail "expected time abstraction")
 
 let test_cara_mode_description () =

@@ -125,7 +125,7 @@ let test_harness_keeps_the_budget () =
     | None -> Alcotest.fail "no CARA:1 component"
   in
   let fail_once =
-    { Fault.checkpoint = Fault.Checkpoint.sat_solve; after = 0;
+    { Fault.checkpoint = Fault.Checkpoint.timeabs_solve; after = 0;
       action = Fault.Fail "injected" }
   in
   (* label, document, fuel, faults, expected class, expected attempts *)
@@ -133,7 +133,7 @@ let test_harness_keeps_the_budget () =
     [ ("pump_control at fuel 100",
        Document.of_file "../examples/specs/pump_control.spec", 100, [],
        "unknown", 1);
-      ("CARA:1 at fuel 1500, sat.solve failing once", cara_1, 1_500,
+      ("CARA:1 at fuel 1500, timeabs.solve failing once", cara_1, 1_500,
        [ fail_once ], "consistent", 2) ]
   in
   List.iter

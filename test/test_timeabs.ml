@@ -166,6 +166,36 @@ let prop_solvers_agree =
        let s = solve_smt prob in
        a.x_total = s.x_total && a.error_total = s.error_total)
 
+(* The pipeline solves with [solve_analytic] in place of the paper's
+   encoding.  Its problems have every domain [Nonnegative], where the
+   lexicographic optimum fixes the divisor and every rewrite, so the
+   two solvers must return equal whole solutions, not just equal
+   objectives. *)
+let prop_solvers_agree_on_whole_solutions =
+  let open QCheck2.Gen in
+  let gen =
+    pair (list_size (int_range 1 5) (int_range 1 200)) (int_range 0 24)
+  in
+  QCheck2.Test.make ~count:40
+    ~name:"Nonnegative problems: SMT and analytic solutions are equal" gen
+    (fun (thetas, budget) ->
+       let prob = problem ~budget thetas in
+       solve_analytic prob = solve_smt prob)
+
+(* Every Θ the shipped documents produce, at the pipeline's default
+   budget: CARA's working modes, the CARA rows and TELEPROMISE. *)
+let test_corpus_thetas_agree () =
+  List.iter
+    (fun thetas ->
+       let prob = problem ~budget:5 thetas in
+       let label =
+         "{" ^ String.concat "," (List.map string_of_int thetas) ^ "}"
+       in
+       Alcotest.(check bool)
+         (label ^ ": analytic = smt") true
+         (solve_analytic prob = solve_smt prob))
+    [ [ 4; 2 ]; [ 4 ]; [ 2 ]; [ 180; 60; 3 ] ]
+
 let prop_solution_satisfies_constraints =
   let open QCheck2.Gen in
   let gen =
@@ -258,6 +288,9 @@ let () =
           Alcotest.test_case "nonpositive domain" `Quick
             test_nonpositive_domain;
           QCheck_alcotest.to_alcotest prop_solvers_agree;
+          QCheck_alcotest.to_alcotest prop_solvers_agree_on_whole_solutions;
+          Alcotest.test_case "corpus Θ: whole solutions agree" `Quick
+            test_corpus_thetas_agree;
           QCheck_alcotest.to_alcotest prop_solution_satisfies_constraints;
         ] );
       ( "apply",
