@@ -21,7 +21,7 @@ open Speccc_casestudies
 (* ---------- shared helpers ---------- *)
 
 let builtin_spec = function
-  | "cara" ->
+  | "cara" | "cara:0" ->
     Some
       (List.mapi
          (fun line (id, text) -> { Document.id; text; line = line + 1 })

@@ -15,7 +15,8 @@ let reorders_total = ref 0
 
 type counters = {
   nodes : int;      (* nodes ever hash-consed *)
-  op_hits : int;    (* computed-table hits (ite + quantification) *)
+  op_hits : int;    (* computed-table hits (ite, quantification,
+                        relational product) *)
   op_misses : int;  (* computed-table misses *)
   reorders : int;   (* dynamic reordering passes *)
 }
@@ -32,7 +33,8 @@ type manager = {
   mutable next_id : int;
   unique : (int, t) Hashtbl.t;  (* packed (var, low, high) ↦ node *)
   (* Direct-mapped lossy computed table for [ite] (CUDD-style): parallel
-     int arrays hold the operand triple, [ct_r] the result.  A colliding
+     int arrays hold the operand triple, [ct_r] the result; the
+     relational product shares it under negative third keys.  A colliding
      entry is simply overwritten — recomputation returns the same
      canonical node, so losing an entry costs time, never soundness.
      Compared to a keyed hashtable this does no allocation per probe
@@ -194,6 +196,11 @@ let cofactors v = function
   | Node { var; low; high; _ } when var = v -> low, high
   | d -> d, d
 
+(* Slot of an operand triple in the [ite] computed table. *)
+let ct_slot m fi gi hi =
+  ((fi * 0x9E3779B1) lxor (gi * 0x85EBCA77) lxor (hi * 0xC2B2AE3D))
+  land m.ct_mask
+
 let rec ite m f g h =
   match f, g, h with
   | One, _, _ -> g
@@ -202,10 +209,7 @@ let rec ite m f g h =
   | _ when equal g h -> g
   | _ ->
     let fi = node_id f and gi = node_id g and hi = node_id h in
-    let idx =
-      ((fi * 0x9E3779B1) lxor (gi * 0x85EBCA77) lxor (hi * 0xC2B2AE3D))
-      land m.ct_mask
-    in
+    let idx = ct_slot m fi gi hi in
     if
       Array.unsafe_get m.ct_f idx = fi
       && Array.unsafe_get m.ct_g idx = gi
@@ -233,10 +237,7 @@ let rec ite m f g h =
       let low = ite m f0 g0 h0 in
       let high = ite m f1 g1 h1 in
       let result = mk m v low high in
-      let idx =
-        ((fi * 0x9E3779B1) lxor (gi * 0x85EBCA77) lxor (hi * 0xC2B2AE3D))
-        land m.ct_mask
-      in
+      let idx = ct_slot m fi gi hi in
       Array.unsafe_set m.ct_f idx fi;
       Array.unsafe_set m.ct_g idx gi;
       Array.unsafe_set m.ct_h idx hi;
@@ -265,8 +266,9 @@ let sort_by_level m vars =
    order).  The computed table is keyed by a stable token per variable
    set, so alternating between the same few sets — as the bucket
    eliminator in the synthesis engine does every round — keeps hitting
-   cached entries instead of resetting. *)
-let quantify m ~is_forall vars f =
+   cached entries instead of resetting.  [set_quant_vars] returns the
+   set in level order and makes [m.quant_key] its token. *)
+let set_quant_vars m vars =
   let vars = sort_by_level m vars in
   if m.quant_vars <> vars then begin
     m.quant_vars <- vars;
@@ -279,43 +281,115 @@ let quantify m ~is_forall vars f =
          Hashtbl.add m.quant_keys vars k;
          k)
   end;
-  let tag = (m.quant_key lsl 1) lor (if is_forall then 1 else 0) in
-  let rec go remaining f =
-    match f, remaining with
-    | (Zero | One), _ -> f
-    | _, [] -> f
-    | Node { id; var; low; high; _ }, v :: rest ->
-      if level m var > level m v then go rest f
-      else begin
-        let idx = ((id * 0x9E3779B1) lxor (tag * 0x85EBCA77)) land m.qt_mask in
-        if
-          Array.unsafe_get m.qt_node idx = id
-          && Array.unsafe_get m.qt_key idx = tag
-        then begin
-          incr op_hits_total;
-          Array.unsafe_get m.qt_r idx
-        end
-        else begin
-          incr op_misses_total;
-          let result =
-            if var = v then
-              let l = go rest low and h = go rest high in
-              if is_forall then and_ m l h else or_ m l h
-            else
-              let l = go remaining low and h = go remaining high in
-              mk m var l h
-          in
-          Array.unsafe_set m.qt_node idx id;
-          Array.unsafe_set m.qt_key idx tag;
-          Array.unsafe_set m.qt_r idx result;
-          result
-        end
+  vars
+
+(* [remaining] is the level-sorted variable set still ahead of [f]'s
+   root; [tag] keys the cache by the whole set and the quantifier, so
+   entries hold for every suffix. *)
+let rec quantify_from m ~is_forall tag remaining f =
+  match f, remaining with
+  | (Zero | One), _ -> f
+  | _, [] -> f
+  | Node { id; var; low; high; _ }, v :: rest ->
+    if level m var > level m v then quantify_from m ~is_forall tag rest f
+    else begin
+      let idx = ((id * 0x9E3779B1) lxor (tag * 0x85EBCA77)) land m.qt_mask in
+      if
+        Array.unsafe_get m.qt_node idx = id
+        && Array.unsafe_get m.qt_key idx = tag
+      then begin
+        incr op_hits_total;
+        Array.unsafe_get m.qt_r idx
       end
-  in
-  go vars f
+      else begin
+        incr op_misses_total;
+        let result =
+          if var = v then
+            let l = quantify_from m ~is_forall tag rest low
+            and h = quantify_from m ~is_forall tag rest high in
+            if is_forall then and_ m l h else or_ m l h
+          else
+            let l = quantify_from m ~is_forall tag remaining low
+            and h = quantify_from m ~is_forall tag remaining high in
+            mk m var l h
+        in
+        Array.unsafe_set m.qt_node idx id;
+        Array.unsafe_set m.qt_key idx tag;
+        Array.unsafe_set m.qt_r idx result;
+        result
+      end
+    end
+
+let quantify m ~is_forall vars f =
+  let vars = set_quant_vars m vars in
+  let tag = (m.quant_key lsl 1) lor (if is_forall then 1 else 0) in
+  quantify_from m ~is_forall tag vars f
 
 let exists m vars f = quantify m ~is_forall:false vars f
 let forall m vars f = quantify m ~is_forall:true vars f
+
+(* The suffix of a level-sorted variable list from level [l] down. *)
+let rec drop_above m l = function
+  | v :: rest when level m v < l -> drop_above m l rest
+  | vars -> vars
+
+(* Relational product ∃vars. f ∧ g in one pass (CUDD's AndAbstract):
+   the conjunction is never built whole, and a variable of [vars] is
+   eliminated as soon as the recursion splits on it.  Results live in
+   the [ite] computed table under a negative third key, [-2 - token]
+   for the variable set's token: [ite] only ever stores node ids
+   there, which are non-negative, and the initial fill is [-1].  The
+   operands are ordered by id, since the product is commutative. *)
+let and_exists m vars f g =
+  let vars = set_quant_vars m vars in
+  let tag = m.quant_key lsl 1 in
+  let key = -2 - m.quant_key in
+  let rec go remaining f g =
+    match f, g with
+    | Zero, _ | _, Zero -> Zero
+    | One, _ -> quantify_from m ~is_forall:false tag remaining g
+    | _, One -> quantify_from m ~is_forall:false tag remaining f
+    | Node a, Node b ->
+      if a.id = b.id then quantify_from m ~is_forall:false tag remaining f
+      else begin
+        let la = level m a.var and lb = level m b.var in
+        let l = min la lb in
+        match drop_above m l remaining with
+        | [] -> and_ m f g
+        | remaining ->
+          let fi = min a.id b.id and gi = max a.id b.id in
+          let idx = ct_slot m fi gi key in
+          if
+            Array.unsafe_get m.ct_f idx = fi
+            && Array.unsafe_get m.ct_g idx = gi
+            && Array.unsafe_get m.ct_h idx = key
+          then begin
+            incr op_hits_total;
+            Array.unsafe_get m.ct_r idx
+          end
+          else begin
+            incr op_misses_total;
+            let v = if la = l then a.var else b.var in
+            let f0, f1 = cofactors v f in
+            let g0, g1 = cofactors v g in
+            let result =
+              match remaining with
+              | u :: rest when u = v ->
+                let r0 = go rest f0 g0 in
+                if is_one r0 then One else or_ m r0 (go rest f1 g1)
+              | _ -> mk m v (go remaining f0 g0) (go remaining f1 g1)
+            in
+            (* [mk] may have grown the table: recompute the slot. *)
+            let idx = ct_slot m fi gi key in
+            Array.unsafe_set m.ct_f idx fi;
+            Array.unsafe_set m.ct_g idx gi;
+            Array.unsafe_set m.ct_h idx key;
+            Array.unsafe_set m.ct_r idx result;
+            result
+          end
+      end
+  in
+  go vars f g
 
 let restrict m assignment f =
   let assignment =

@@ -8,9 +8,9 @@
     ({!equal} is O(1)).
 
     The package is deliberately classical — unique table, ITE with a
-    direct-mapped computed table, quantification, group-sifting
-    reordering — and is the backend of the symbolic synthesis
-    engine. *)
+    direct-mapped computed table, quantification, relational product,
+    group-sifting reordering — and is the backend of the symbolic
+    synthesis engine. *)
 
 type manager
 type t
@@ -28,7 +28,8 @@ val clear_caches : manager -> unit
 
 type counters = {
   nodes : int;      (** nodes ever hash-consed, across all managers *)
-  op_hits : int;    (** computed-table hits (ite + quantification) *)
+  op_hits : int;    (** computed-table hits (ite, quantification,
+                        relational product) *)
   op_misses : int;  (** computed-table misses *)
   reorders : int;   (** dynamic reordering passes *)
 }
@@ -97,6 +98,15 @@ val or_list : manager -> t list -> t
 
 val exists : manager -> int list -> t -> t
 val forall : manager -> int list -> t -> t
+
+val and_exists : manager -> int list -> t -> t -> t
+(** [and_exists m vars f g] is [exists m vars (and_ m f g)], the
+    relational product (CUDD's [AndAbstract]), computed in one
+    recursive pass: the conjunction is never built whole, and each
+    variable of [vars] is eliminated as soon as the recursion splits
+    on it.  [vars] may be empty (the result is [and_ m f g]) and may
+    name variables outside both supports.  Results share the [ite]
+    computed table. *)
 
 val restrict : manager -> (int * bool) list -> t -> t
 (** Cofactor with respect to an assignment of some variables. *)

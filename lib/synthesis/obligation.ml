@@ -168,54 +168,79 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
            (z_var ~num_props j, z_next_var ~num_props j)))
       w
   in
-  (* Controllable predecessor: ∀ inputs ∃ outputs, next obligations.
-     The conjunction with the transition relation is built once per
-     fixpoint round. *)
-  (* Controllable predecessor with early quantification: walk the
-     next-state variables top-down; each obligation conjunct joins at
-     the bucket of its highest next-state variable, and the variable is
-     eliminated immediately afterwards, so no monolithic transition
-     relation is ever built. *)
-  (* Controllable predecessor by bucket elimination (as in symbolic
-     model checkers with partitioned transition relations): every
-     conjunct sits in the bucket of its highest quantifiable variable
-     (outputs and next-state bits); eliminating top-down keeps
-     independent requirement clusters factored instead of building one
-     monolithic relation. *)
-  (* The bucket is picked by variable index, the order the elimination
-     loop below walks.  [Bdd.support] lists variables by level, which a
-     reorder decouples from the index: placing by the deepest level
-     would keep a conjunct out of the bucket of a variable it still
-     mentions, that variable would never be quantified, and the
-     fixpoint would converge on a region no strategy can stay in. *)
-  let top_quantifiable bdd =
-    List.fold_left
-      (fun acc v ->
-         if not (is_quantifiable v) then acc
-         else match acc with Some u when u > v -> acc | _ -> Some v)
-      None (Bdd.support manager bdd)
+  (* Controllable predecessor ∀ inputs ∃ outputs, next obligations, by
+     bucket elimination over the partitioned relation (as in symbolic
+     model checkers): every diagram waits in the bucket of its top
+     quantifiable variable — the highest index among its outputs and
+     next-state bits — and the loop walks the buckets by decreasing
+     index, eliminating each variable with one relational product
+     ([Bdd.and_exists]) over its bucket, so independent requirement
+     clusters stay factored and no monolithic relation is built.
+
+     Placement invariant: a diagram sits at or above its top
+     quantifiable variable, never below.  Above is sound — ∃v (A ∧ B)
+     = (∃v A) ∧ B when v ∉ supp B — but below, the diagram would miss
+     the bucket of a variable it still mentions, that variable would
+     never be quantified, and the fixpoint would converge on a region
+     no strategy can stay in.  Buckets go by index, the order the loop
+     walks, not by level, which a reorder decouples from the index.
+
+     Each diagram carries a tracked quantifiable support, highest index
+     first, whose head is its bucket.  The fixed conjuncts [z_j → V_j]
+     and the round's target get theirs from one exact [Bdd.support]; a
+     bucket's result gets the union of its inputs' tracked supports
+     minus the eliminated variable.  That union is a superset of the
+     result's true support, so its head is at or above the true top
+     variable, and it lies below the bucket being eliminated. *)
+  let quantifiable_support bdd =
+    List.sort (fun a b -> compare b a)
+      (List.filter is_quantifiable (Bdd.support manager bdd))
   in
-  let cpre conjuncts w =
-    let target = rename_to_next w in
+  let rec union a b =
+    match a, b with
+    | [], l | l, [] -> l
+    | x :: a', y :: b' ->
+      if x > y then x :: union a' b
+      else if y > x then y :: union a b'
+      else x :: union a' b'
+  in
+  let place buckets residual ((bdd, support) as item) =
+    if Bdd.is_zero bdd then residual := [ bdd ]
+    else if not (Bdd.is_one bdd) then
+      match support with
+      | v :: _ -> buckets.(v) <- item :: buckets.(v)
+      | [] -> residual := bdd :: !residual
+  in
+  (* The conjuncts do not change between rounds, so their placement is
+     computed once per solve and again after each reorder. *)
+  let place_fixed conjuncts =
     let buckets = Array.make (max_quantifiable + 1) [] in
     let residual = ref [] in
-    let place bdd =
-      if Bdd.is_zero bdd then residual := [ bdd ]
-      else if not (Bdd.is_one bdd) then
-        match top_quantifiable bdd with
-        | Some v -> buckets.(v) <- bdd :: buckets.(v)
-        | None -> residual := bdd :: !residual
-    in
-    List.iter place conjuncts;
-    place target;
+    List.iter
+      (fun c -> place buckets residual (c, quantifiable_support c))
+      conjuncts;
+    (buckets, !residual)
+  in
+  (* ∃v over a bucket: conjoin all but the last item, and fuse the last
+     conjunction with the quantification. *)
+  let rec eliminate v acc = function
+    | [ (last, _) ] -> Bdd.and_exists manager [ v ] acc last
+    | (bdd, _) :: rest -> eliminate v (Bdd.and_ manager acc bdd) rest
+    | [] -> acc
+  in
+  let cpre (fixed_buckets, fixed_residual) w =
+    let target = rename_to_next w in
+    let buckets = Array.copy fixed_buckets in
+    let residual = ref fixed_residual in
+    place buckets residual (target, quantifiable_support target);
     for v = max_quantifiable downto 0 do
-      if is_quantifiable v then begin
-        match buckets.(v) with
-        | [] -> ()
-        | items ->
-          let combined = Bdd.and_list manager items in
-          place (Bdd.exists manager [ v ] combined)
-      end
+      match buckets.(v) with
+      | [] -> ()
+      | items ->
+        let support =
+          List.fold_left (fun acc (_, s) -> union acc (List.tl s)) [] items
+        in
+        place buckets residual (eliminate v (Bdd.one manager) items, support)
     done;
     Bdd.forall manager input_vars (Bdd.and_list manager !residual)
   in
@@ -227,8 +252,9 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
      (partitioned transition relation, progressions, the current
      winning approximation) is threaded through the sift; inputs stay
      pinned root-most and each (z_j, z'_j) pair stays glued so the
-     current-to-next renaming stays monotone. *)
-  let maybe_reorder conjuncts w =
+     current-to-next renaming stays monotone.  The rebuilt conjuncts are
+     placed afresh. *)
+  let maybe_reorder ((conjuncts, _) as relation) w =
     let unlimited_fuel =
       match budget with
       | None -> true
@@ -247,12 +273,12 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
         in
         let conjuncts', progs = take (List.length conjuncts) [] rest in
         List.iteri (fun j p -> progression_bdds.(j) <- p) progs;
-        (conjuncts', w')
-      | [] -> (conjuncts, w)
+        ((conjuncts', place_fixed conjuncts'), w')
+      | [] -> (relation, w)
     end
-    else (conjuncts, w)
+    else (relation, w)
   in
-  let rec fixpoint conjuncts w rounds =
+  let rec fixpoint ((_, fixed) as relation) w rounds =
     Speccc_runtime.Fault.hit Speccc_runtime.Fault.Checkpoint.bdd_fixpoint;
     (match budget with
      | Some budget ->
@@ -268,13 +294,15 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
         | None -> ());
        Speccc_runtime.Budget.checkpoint budget ~stage:"symbolic"
      | None -> ());
-    let w' = Bdd.and_ manager w (cpre conjuncts w) in
+    let w' = Bdd.and_ manager w (cpre fixed w) in
     if Bdd.equal w w' then (w, rounds)
     else
-      let conjuncts, w' = maybe_reorder conjuncts w' in
-      fixpoint conjuncts w' (rounds + 1)
+      let relation, w' = maybe_reorder relation w' in
+      fixpoint relation w' (rounds + 1)
   in
-  let winning, rounds = fixpoint conjuncts (Bdd.one manager) 1 in
+  let winning, rounds =
+    fixpoint (conjuncts, place_fixed conjuncts) (Bdd.one manager) 1
+  in
   let initial_indices = List.map index_of roots in
   let initial_assignment =
     List.init num_obligations (fun j ->

@@ -12,7 +12,7 @@ type expr =
 
 let nvars = 5
 
-let expr_gen =
+let expr_gen_over nvars =
   let open QCheck2.Gen in
   sized @@ fix (fun self size ->
       if size <= 1 then map (fun v -> Evar v) (int_range 0 (nvars - 1))
@@ -26,6 +26,8 @@ let expr_gen =
             map2 (fun a b -> Eor (a, b)) sub sub;
             map2 (fun a b -> Exor (a, b)) sub sub;
           ])
+
+let expr_gen = expr_gen_over nvars
 
 let rec eval_expr assignment = function
   | Evar v -> assignment v
@@ -205,6 +207,37 @@ let prop_canonical =
        Bdd.equal d1 d2 = semantically_equal)
 
 
+(* The relational product against its two-step definition, in the same
+   manager (so equality is node identity).  Operands range over 8
+   variables; the quantified set draws from 0..9, so it may be empty
+   or name variables outside both supports; half the cases run on a
+   manager that has just been reordered, where levels and indices
+   disagree.  Two variable sets run on the same operands, each asked
+   once per operand order, so answers come from the computed table and
+   must not leak from one set to the other. *)
+let prop_and_exists_is_exists_of_and =
+  let vars = QCheck2.Gen.(list_size (int_range 0 4) (int_range 0 9)) in
+  QCheck2.Test.make ~count:400 ~name:"and_exists vs f g = exists vs (f && g)"
+    QCheck2.Gen.(
+      quad (expr_gen_over 8) (expr_gen_over 8)
+        (pair vars vars) bool)
+    (fun (e1, e2, (vs1, vs2), reordered) ->
+       let m = Bdd.manager () in
+       let f = build m e1 and g = build m e2 in
+       let f, g =
+         if reordered then
+           match Bdd.reorder m [ f; g ] with
+           | [ f; g ] -> (f, g)
+           | _ -> assert false
+         else (f, g)
+       in
+       List.for_all
+         (fun vs ->
+            let expected = Bdd.exists m vs (Bdd.and_ m f g) in
+            Bdd.equal (Bdd.and_exists m vs f g) expected
+            && Bdd.equal (Bdd.and_exists m vs g f) expected)
+         [ vs1; vs2 ])
+
 (* Reordering drill: sifting must preserve semantics exactly, and the
    rebuilt manager must stay canonical — rebuilding the same function
    after the reorder has to produce the translated root itself. *)
@@ -273,6 +306,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_matches_truth_table;
           QCheck_alcotest.to_alcotest prop_satcount_matches;
           QCheck_alcotest.to_alcotest prop_exists_is_disjunction;
+          QCheck_alcotest.to_alcotest prop_and_exists_is_exists_of_and;
           QCheck_alcotest.to_alcotest prop_canonical;
           QCheck_alcotest.to_alcotest prop_rename_monotone_matches_rename;
           QCheck_alcotest.to_alcotest prop_reorder_preserves_semantics;

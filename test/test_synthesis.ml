@@ -196,6 +196,73 @@ let test_symbolic_sound_after_reorder () =
          (Ltl.conj_list scenario.Speccc_casestudies.Robot.formulas)
          ~trials:20 ~seed:42)
 
+(* Fixpoint pins: verdict, [Obligation.stats] and (for CARA:0) the
+   nodes a check creates, on the documents whose fixpoint runs most
+   rounds or holds most obligations.  How the controllable predecessor
+   places and eliminates its buckets decides which intermediate nodes
+   get built, never the winning region — a canonical BDD under an
+   unchanged order — so rounds and winning nodes stay fixed while the
+   node count records the work. *)
+let pipeline_problem texts =
+  let outcome = Speccc_core.Pipeline.run texts in
+  let partition =
+    outcome.Speccc_core.Pipeline.partition.Speccc_partition.Partition.partition
+  in
+  ( outcome.Speccc_core.Pipeline.formulas,
+    partition.Speccc_partition.Partition.inputs,
+    partition.Speccc_partition.Partition.outputs )
+
+let robot_problem ~robots ~rooms =
+  let scenario = Speccc_casestudies.Robot.scenario ~robots ~rooms in
+  ( scenario.Speccc_casestudies.Robot.formulas,
+    scenario.Speccc_casestudies.Robot.inputs,
+    scenario.Speccc_casestudies.Robot.outputs )
+
+let fixpoint_pins =
+  let open Speccc_casestudies in
+  [
+    ( "CARA:0",
+      (fun () -> pipeline_problem Cara.working_mode_texts),
+      "obligations=125 winning_nodes=62 rounds=61",
+      Some 50_000 );
+    ( "CARA:3.2",
+      (fun () ->
+         pipeline_problem
+           (Cara.component_sentences
+              (List.find (fun c -> c.Cara.row = "3.2") Cara.components))),
+      "obligations=91 winning_nodes=1 rounds=1",
+      None );
+    ( "robot:2x5",
+      (fun () -> robot_problem ~robots:2 ~rooms:5),
+      "obligations=51 winning_nodes=23 rounds=2",
+      None );
+    ( "robot:2x9",
+      (fun () -> robot_problem ~robots:2 ~rooms:9),
+      "obligations=71 winning_nodes=39 rounds=2",
+      None );
+  ]
+
+let test_fixpoint_pins () =
+  List.iter
+    (fun (name, problem, stats, max_nodes) ->
+       let formulas, inputs, outputs = problem () in
+       let nodes () = (Speccc_bdd.Bdd.counters ()).Speccc_bdd.Bdd.nodes in
+       let before = nodes () in
+       let report = Realizability.check ~inputs ~outputs formulas in
+       let created = nodes () - before in
+       Alcotest.(check bool) (name ^ " consistent") true (is_consistent report);
+       Alcotest.(check string) (name ^ " engine") "symbolic"
+         report.Realizability.engine_used;
+       Alcotest.(check string) (name ^ " fixpoint") (stats ^ " lookahead=6")
+         report.Realizability.detail;
+       match max_nodes with
+       | Some bound ->
+         if created >= bound then
+           Alcotest.failf "%s created %d BDD nodes (bound %d)" name created
+             bound
+       | None -> ())
+    fixpoint_pins
+
 (* --- engine agreement on the translator fragment --- *)
 
 let fragment_gen =
@@ -795,6 +862,7 @@ let () =
             test_symbolic_many_props;
           Alcotest.test_case "sound after reorder" `Quick
             test_symbolic_sound_after_reorder;
+          Alcotest.test_case "fixpoint pins" `Quick test_fixpoint_pins;
         ] );
       ( "agreement",
         [
