@@ -114,7 +114,7 @@ let lookahead_arg =
          ~doc:"Bounded-eventuality depth for the symbolic engine.")
 
 let time_budget_arg =
-  Arg.(value & opt (some int) (Some 5)
+  Arg.(value & opt int 5
        & info [ "time-budget" ]
          ~doc:"Arrival-error budget B for time abstraction (Sec. IV-E).")
 
@@ -132,10 +132,8 @@ let deadline_arg =
          ~doc:"Wall-clock seconds allowed for the synthesis stage.")
 
 let options_of ?fuel ?deadline ~engine ~lookahead ~time_budget () =
-  (match time_budget with
-   | Some b when b < 0 ->
-     failwith (Printf.sprintf "--time-budget must be >= 0 (got %d)" b)
-   | _ -> ());
+  if time_budget < 0 then
+    failwith (Printf.sprintf "--time-budget must be >= 0 (got %d)" time_budget);
   (match fuel with
    | Some f when f <= 0 ->
      failwith (Printf.sprintf "--budget must be positive (got %d)" f)
@@ -196,17 +194,6 @@ let exit_of_verdict = function
   | Realizability.Consistent -> ()
   | Realizability.Inconsistent -> exit 1
   | Realizability.Inconclusive _ -> exit 2
-
-(* Rendered via [canonical_degradation]: deduplicated and stably
-   sorted by ladder position, so a given report always prints the same
-   lines in the same order regardless of which path assembled it. *)
-let print_degradation report =
-  List.iter
-    (fun rung ->
-       Format.printf "degraded: %s — %s (%.3fs)@."
-         rung.Realizability.rung_engine rung.Realizability.rung_outcome
-         rung.Realizability.rung_wall)
-    (Realizability.canonical_degradation report)
 
 let stats_arg =
   Arg.(value & flag
@@ -394,8 +381,7 @@ let recover_arg =
                is reported with its line and column span and the \
                remaining requirements are checked.")
 
-let print_certificate outcome =
-  match outcome.Pipeline.certificate with
+let print_certificate = function
   | None -> ()
   | Some certificate ->
     Format.printf "certificate: %a@." Speccc_certify.Certify.pp_outcome
@@ -409,63 +395,37 @@ let check_cmd =
       options_of ?fuel ?deadline ~engine ~lookahead ~time_budget ()
     in
     let options = { options with Pipeline.certify; recover } in
-    match robot_spec source with
-    | Some scenario ->
-      (* formal built-in: already LTL, with a fixed partition *)
-      let partition =
-        {
-          Speccc_partition.Partition.inputs = scenario.Robot.inputs;
-          outputs = scenario.Robot.outputs;
-        }
-      in
-      Format.printf "formal built-in: %d robot(s), %d room(s), %d formulas@."
-        scenario.Robot.robots scenario.Robot.rooms
-        (List.length scenario.Robot.formulas);
-      let _, report =
-        Pipeline.check_formulas ~options ~partition scenario.Robot.formulas
-      in
-      let report, certificate =
-        if not certify then (report, None)
-        else
-          let report, outcome =
-            Speccc_certify.Certify.apply ~assumptions:[]
-              scenario.Robot.formulas report
-          in
-          (report, Some outcome)
-      in
-      let verdict =
-        match report.Realizability.verdict with
-        | Realizability.Consistent -> "CONSISTENT (realizable)"
-        | Realizability.Inconsistent -> "INCONSISTENT (unrealizable)"
-        | Realizability.Inconclusive why -> "INCONCLUSIVE: " ^ why
-      in
-      Format.printf "verdict: %s (engine: %s, %.3fs)@." verdict
-        report.Realizability.engine_used report.Realizability.wall_time;
-      Option.iter
-        (fun indices ->
-           Format.printf "refuted on: %s@."
-             (String.concat ", " (List.map (Document.id_at []) indices)))
-        report.Realizability.refuted_on;
-      print_degradation report;
-      Option.iter
-        (fun c ->
-           Format.printf "certificate: %a@."
-             Speccc_certify.Certify.pp_outcome c)
-        certificate;
-      if stats then print_stats ();
-      exit_of_verdict report.Realizability.verdict
-    | None ->
-      let document = load_document source in
-      let outcome = Pipeline.run_document ~options document in
-      let num_assumptions =
-        List.length (fst (Document.split document))
-      in
-      if num_assumptions > 0 then
-        Format.printf "environment assumptions: %d@." num_assumptions;
-      Format.printf "%a@." Pipeline.pp_outcome outcome;
-      print_certificate outcome;
-      if stats then print_stats ();
-      exit_of_verdict outcome.Pipeline.report.Realizability.verdict
+    let report =
+      match robot_spec source with
+      | Some scenario ->
+        (* formal built-in: already LTL, with a fixed partition *)
+        let partition =
+          {
+            Speccc_partition.Partition.inputs = scenario.Robot.inputs;
+            outputs = scenario.Robot.outputs;
+          }
+        in
+        Format.printf
+          "formal built-in: %d robot(s), %d room(s), %d formulas@."
+          scenario.Robot.robots scenario.Robot.rooms
+          (List.length scenario.Robot.formulas);
+        let report, certificate =
+          Pipeline.decide options ~partition scenario.Robot.formulas
+        in
+        Format.printf "@[<v>%a@]@." (Pipeline.pp_verdict []) report;
+        print_certificate certificate;
+        report
+      | None ->
+        let outcome = Pipeline.run_document ~options (load_document source) in
+        let num_assumptions = List.length outcome.Pipeline.assumptions in
+        if num_assumptions > 0 then
+          Format.printf "environment assumptions: %d@." num_assumptions;
+        Format.printf "%a@." Pipeline.pp_outcome outcome;
+        print_certificate outcome.Pipeline.certificate;
+        outcome.Pipeline.report
+    in
+    if stats then print_stats ();
+    exit_of_verdict report.Realizability.verdict
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Run the full consistency pipeline (Fig. 1)")

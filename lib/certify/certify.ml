@@ -14,14 +14,6 @@ let pp_outcome ppf = function
   | Rejected why -> Format.fprintf ppf "rejected: %s" why
   | No_witness why -> Format.fprintf ppf "no witness: %s" why
 
-(* The formula the engines actually checked: assumptions are the
-   antecedent, exactly as Realizability.check builds it. *)
-let spec_formula ~assumptions guarantees =
-  let goal = Ltl.conj_list guarantees in
-  match assumptions with
-  | [] -> goal
-  | _ -> Ltl.implies (Ltl.conj_list assumptions) goal
-
 (* ---------- deterministic input-word generation ---------- *)
 
 (* A controller certificate must not depend on the machine under test,
@@ -157,7 +149,7 @@ let check_core ?budget ~assumptions ~formulas core =
 
 let certificate ?budget ?(trials = 32) ?(seed = 1) ~assumptions guarantees
     (report : Realizability.report) =
-  let spec = spec_formula ~assumptions guarantees in
+  let spec = Realizability.spec_of ~assumptions guarantees in
   match report.Realizability.verdict with
   | Realizability.Inconclusive _ ->
     No_witness "verdict is inconclusive; there is nothing to certify"

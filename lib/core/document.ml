@@ -51,7 +51,9 @@ let is_assumption item =
   let lower = String.lowercase_ascii item.id in
   String.length lower >= 6 && String.sub lower 0 6 = "assume"
 
-let split document = List.partition is_assumption document
+let key document =
+  String.concat "\x1e"
+    (List.map (fun item -> item.id ^ "\x1f" ^ item.text) document)
 
 let id_at document index =
   match List.nth_opt document index with

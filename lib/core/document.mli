@@ -42,8 +42,11 @@ val is_assumption : item -> bool
     Such requirements become the antecedent of the realizability check
     rather than obligations of the system. *)
 
-val split : t -> item list * item list
-(** [(assumptions, guarantees)], both in document order. *)
+val key : t -> string
+(** The content key: each item's id and text, in order.  The ids also
+    fix the assumption/guarantee split, and translation is
+    deterministic, so equal keys mean equal checked formulas under
+    equal options. *)
 
 val id_at : t -> int -> string
 (** Identifier of the requirement at a 0-based index ([R<n+1>] when

@@ -6,7 +6,7 @@ open Speccc_synthesis
 
 type options = {
   translate : Translate.config;
-  time_budget : int option;
+  time_budget : int;
   engine : Realizability.engine;
   lookahead : int;
   bound : int;
@@ -21,7 +21,7 @@ type options = {
 
 let default_options () = {
   translate = Translate.default_config ();
-  time_budget = Some 5;
+  time_budget = 5;
   engine = Realizability.Auto;
   lookahead = 6;
   bound = 8;
@@ -45,6 +45,8 @@ type outcome = {
   document : Document.t;
   requirements : Translate.requirement list;
   formulas : Ltl.t list;
+  assumptions : Ltl.t list;
+  guarantees : (int * Ltl.t) list;
   time_solution : Timeabs.solution option;
   partition : Partition.analysis;
   report : Realizability.report;
@@ -53,38 +55,52 @@ type outcome = {
   certificate : Speccc_certify.Certify.outcome option;
 }
 
+(* Every domain is [Nonnegative] here, which fixes the whole optimum
+   (divisor and rewrites), so the exact divisor search returns what
+   the paper's bit-blasted encoding returns. *)
 let abstract_times options formulas =
   match Timeabs.thetas_of_formulas formulas with
   | [] -> (formulas, None)
   | thetas ->
+    Speccc_runtime.Fault.hit Speccc_runtime.Fault.Checkpoint.timeabs_solve;
     let solution =
-      match options.time_budget with
-      | None -> Timeabs.gcd_solution thetas
-      | Some budget ->
-        (* Every domain is [Nonnegative] here, which fixes the whole
-           optimum (divisor and rewrites), so the exact divisor search
-           returns what the paper's bit-blasted encoding returns. *)
-        Speccc_runtime.Fault.hit Speccc_runtime.Fault.Checkpoint.timeabs_solve;
-        Timeabs.solve_analytic (Timeabs.problem ~budget thetas)
+      Timeabs.solve_analytic
+        (Timeabs.problem ~budget:options.time_budget thetas)
     in
     (List.map (Timeabs.apply solution) formulas, Some solution)
-
-let make_budget options =
-  Speccc_runtime.Budget.create ?fuel:options.fuel
-    ?deadline_in:options.deadline ?cancel:options.cancel
-    ?snapshot:options.snapshot ()
 
 (* Fuel reserved for re-checking witnesses when [options.certify]: the
    tableau re-check of an unsat core is the only validator that can
    genuinely blow up. *)
 let certify_reserve_fuel = 50_000
 
-let synthesize options ~budget ?explicit_session ?(assumptions = [])
-    ~inputs ~outputs formulas =
-  Realizability.check ~budget ~engine:options.engine
-    ~lookahead:options.lookahead ~bound:options.bound
-    ~skip:options.skip_engines ~assumptions ?explicit_session
-    ~witness:options.certify ~inputs ~outputs formulas
+let decide options ?explicit_session ?(assumptions = []) ~partition
+    guarantees =
+  let budget =
+    Speccc_runtime.Budget.create ?fuel:options.fuel
+      ?deadline_in:options.deadline ?cancel:options.cancel
+      ?snapshot:options.snapshot ()
+  in
+  let report =
+    Realizability.check ~budget ~engine:options.engine
+      ~lookahead:options.lookahead ~bound:options.bound
+      ~skip:options.skip_engines ~assumptions ?explicit_session
+      ~witness:options.certify ~inputs:partition.Partition.inputs
+      ~outputs:partition.Partition.outputs guarantees
+  in
+  if not options.certify then (report, None)
+  else
+    (* Certification runs on its own reserve of fuel: it is the
+       engines' fuel that may just have run out, and the validators
+       are cheap by comparison. *)
+    let reserve =
+      Speccc_runtime.Budget.reserve budget ~fuel:certify_reserve_fuel
+    in
+    let report, outcome =
+      Speccc_certify.Certify.apply ~budget:reserve ~assumptions guarantees
+        report
+    in
+    (report, Some outcome)
 
 (* The Sec. IV-F heuristic reads requirement shapes, which
    assumptions do not follow — partition over the guarantees, then
@@ -117,40 +133,32 @@ let check_formulas ?options ?partition ?explicit_session ?(assumptions = [])
     | Some p -> p
     | None -> (partition_of ~assumptions formulas).Partition.partition
   in
-  let report =
-    synthesize options ~budget:(make_budget options) ?explicit_session
-      ~assumptions ~inputs:partition.Partition.inputs
-      ~outputs:partition.Partition.outputs formulas
+  let report, _ =
+    decide options ?explicit_session ~assumptions ~partition formulas
   in
   (partition, report)
 
-(* Translation front-end shared by {!run} and {!run_document}.  With
-   [options.recover] set, ungrammatical requirements are dropped with a
-   located diagnostic and the rest of the document proceeds; the
-   returned document lists only the surviving items so downstream
-   stages stay aligned with the translation. *)
+(* The translation front end.  Ungrammatical requirements come back as
+   located diagnostics; with [options.recover] they are dropped and the
+   rest of the document proceeds (the returned document lists only the
+   surviving items, so downstream stages stay aligned with the
+   translation), and without it the first one is raised as
+   {!Speccc_nlp.Parser.sentence} raises it. *)
 let translate_document options ?parse_cache document =
-  if not options.recover then
-    ( Translate.specification ?parse_cache options.translate
-        (Document.texts document),
-      document,
-      [] )
-  else
-    let translation, kept, diagnostics =
-      Translate.specification_recover ?parse_cache options.translate
-        (List.map
-           (fun item -> (item.Document.line, item.Document.text))
-           document)
-    in
-    let survivors =
-      List.filter_map (fun index -> List.nth_opt document index) kept
-    in
-    let diagnostics =
+  let translation, kept, diagnostics =
+    Translate.specification_recover ?parse_cache options.translate
+      (List.map (fun item -> (item.Document.line, item.Document.text)) document)
+  in
+  match diagnostics with
+  | [] -> (translation, document, [])
+  | (_, diag) :: _ when not options.recover ->
+    raise (Speccc_nlp.Parser.Error diag.Speccc_nlp.Parser.diag_message)
+  | diagnostics ->
+    ( translation,
+      List.filter_map (fun index -> List.nth_opt document index) kept,
       List.map
         (fun (index, diag) -> (Document.id_at document index, diag))
-        diagnostics
-    in
-    (translation, survivors, diagnostics)
+        diagnostics )
 
 let run_document ?options ?parse_cache ?explicit_session document =
   let options =
@@ -167,49 +175,29 @@ let run_document ?options ?parse_cache ?explicit_session document =
     Speccc_runtime.Runtime.timed (fun () ->
         abstract_times options raw_formulas)
   in
-  let tagged = List.combine document formulas in
-  let assumptions =
-    List.filter_map
-      (fun (item, formula) ->
-         if Document.is_assumption item then Some formula else None)
-      tagged
+  let assumptions, guarantees =
+    List.combine document formulas
+    |> List.mapi (fun i (item, formula) -> (i, item, formula))
+    |> List.partition_map (fun (i, item, formula) ->
+        if Document.is_assumption item then Left formula
+        else Right (i, formula))
   in
-  let guarantees =
-    List.filter_map
-      (fun (item, formula) ->
-         if Document.is_assumption item then None else Some formula)
-      tagged
-  in
+  let guarantee_formulas = List.map snd guarantees in
   let partition, partition_s =
     Speccc_runtime.Runtime.timed (fun () ->
-        partition_of ~assumptions guarantees)
+        partition_of ~assumptions guarantee_formulas)
   in
-  let budget = make_budget options in
-  let report, synthesis_s =
+  let (report, certificate), synthesis_s =
     Speccc_runtime.Runtime.timed (fun () ->
-        synthesize options ~budget ?explicit_session ~assumptions
-          ~inputs:partition.Partition.partition.Partition.inputs
-          ~outputs:partition.Partition.partition.Partition.outputs guarantees)
-  in
-  let report, certificate =
-    if not options.certify then (report, None)
-    else
-      (* Certification runs on its own reserve of fuel: it is the
-         engines' fuel that may just have run out, and the validators
-         are cheap by comparison. *)
-      let reserve =
-        Speccc_runtime.Budget.reserve budget ~fuel:certify_reserve_fuel
-      in
-      let report, outcome =
-        Speccc_certify.Certify.apply ~budget:reserve ~assumptions guarantees
-          report
-      in
-      (report, Some outcome)
+        decide options ?explicit_session ~assumptions
+          ~partition:partition.Partition.partition guarantee_formulas)
   in
   {
     document;
     requirements = translation.Translate.requirements;
     formulas;
+    assumptions;
+    guarantees;
     time_solution;
     partition;
     report;
@@ -222,10 +210,31 @@ let run ?options texts = run_document ?options (Document.of_texts texts)
 
 (* Only assumption-free checks refute on components, so the report's
    requirement indices are positions in the document. *)
-let refuted_on outcome =
+let refuted_ids document report =
   Option.map
-    (List.map (Document.id_at outcome.document))
-    outcome.report.Realizability.refuted_on
+    (List.map (Document.id_at document))
+    report.Realizability.refuted_on
+
+let refuted_on outcome = refuted_ids outcome.document outcome.report
+
+let pp_verdict document ppf report =
+  let verdict =
+    match report.Realizability.verdict with
+    | Realizability.Consistent -> "CONSISTENT (realizable)"
+    | Realizability.Inconsistent -> "INCONSISTENT (unrealizable)"
+    | Realizability.Inconclusive why -> "INCONCLUSIVE: " ^ why
+  in
+  Format.fprintf ppf "verdict: %s (engine: %s, %.3fs)" verdict
+    report.Realizability.engine_used report.Realizability.wall_time;
+  Option.iter
+    (fun ids -> Format.fprintf ppf "@,refuted on: %s" (String.concat ", " ids))
+    (refuted_ids document report);
+  List.iter
+    (fun rung ->
+       Format.fprintf ppf "@,degraded: %s — %s (%.3fs)"
+         rung.Realizability.rung_engine rung.Realizability.rung_outcome
+         rung.Realizability.rung_wall)
+    (Realizability.canonical_degradation report)
 
 let pp_outcome ppf outcome =
   Format.fprintf ppf "@[<v>";
@@ -237,24 +246,7 @@ let pp_outcome ppf outcome =
    | None -> Format.fprintf ppf "time abstraction: none needed@,");
   Format.fprintf ppf "%a@," Partition.pp
     outcome.partition.Partition.partition;
-  let verdict =
-    match outcome.report.Realizability.verdict with
-    | Realizability.Consistent -> "CONSISTENT (realizable)"
-    | Realizability.Inconsistent -> "INCONSISTENT (unrealizable)"
-    | Realizability.Inconclusive why -> "INCONCLUSIVE: " ^ why
-  in
-  Format.fprintf ppf "verdict: %s (engine: %s, %.3fs)" verdict
-    outcome.report.Realizability.engine_used
-    outcome.report.Realizability.wall_time;
-  Option.iter
-    (fun ids -> Format.fprintf ppf "@,refuted on: %s" (String.concat ", " ids))
-    (refuted_on outcome);
-  List.iter
-    (fun rung ->
-       Format.fprintf ppf "@,degraded: %s — %s (%.3fs)"
-         rung.Realizability.rung_engine rung.Realizability.rung_outcome
-         rung.Realizability.rung_wall)
-    (Realizability.canonical_degradation outcome.report);
+  pp_verdict outcome.document ppf outcome.report;
   List.iter
     (fun (id, diag) ->
        Format.fprintf ppf "@,skipped %s: %a" id

@@ -9,9 +9,9 @@
 
 type options = {
   translate : Speccc_translate.Translate.config;
-  time_budget : int option;
-      (** error budget [B] for the abstraction, solved by
-          bit-blasting (the paper's route); [None] = GCD only *)
+  time_budget : int;
+      (** arrival-error budget [B] of the Sec. IV-E time abstraction
+          (default 5) *)
   engine : Speccc_synthesis.Realizability.engine;
   lookahead : int;
   bound : int;
@@ -36,8 +36,9 @@ type options = {
       (** true: an ungrammatical requirement is dropped with a located
           diagnostic ([outcome.diagnostics]) and checking continues
           over the remaining requirements; false (default): the
-          translation stage raises {!Speccc_nlp.Parser.Error} as
-          before *)
+          translation stage raises the first one as
+          {!Speccc_nlp.Parser.Error}, with the message
+          {!Speccc_nlp.Parser.sentence} raises *)
   certify : bool;
       (** true: validate the verdict's witness with
           {!Speccc_certify.Certify.apply} (on a small reserve of fuel)
@@ -71,10 +72,18 @@ type outcome = {
   requirements : Speccc_translate.Translate.requirement list;
   formulas : Speccc_logic.Ltl.t list;
       (** after time abstraction, in requirement order *)
+  assumptions : Speccc_logic.Ltl.t list;
+      (** the formulas of the assumption items
+          ({!Document.is_assumption}), in document order: the
+          antecedent of the check *)
+  guarantees : (int * Speccc_logic.Ltl.t) list;
+      (** the other formulas, each with its position in [document],
+          in document order: the obligations of the check *)
   time_solution : Speccc_timeabs.Timeabs.solution option;
   partition : Speccc_partition.Partition.analysis;
   report : Speccc_synthesis.Realizability.report;
   times : stage_times;
+      (** [synthesis_s] covers {!decide}, certification included *)
   diagnostics : (string * Speccc_nlp.Parser.diagnostic) list;
       (** requirements dropped by error recovery, as [(id, where/why)]
           pairs in document order; always empty unless
@@ -88,13 +97,27 @@ val abstract_times :
   Speccc_logic.Ltl.t list ->
   Speccc_logic.Ltl.t list * Speccc_timeabs.Timeabs.solution option
 (** The time-abstraction stage on its own: collect the θ constants,
-    solve for a divisor and rewrite the formulas.  Under
-    [options.time_budget = Some b] the divisor is the Sec. IV-E
-    optimum from {!Speccc_timeabs.Timeabs.solve_analytic} (the
-    [timeabs.solve] checkpoint fires first); under [None] it is the
-    exact GCD.  Exposed
-    so a benchmark can time this layer on its own; every check runs
-    it inside {!run_document}. *)
+    solve for the Sec. IV-E optimum under [options.time_budget] with
+    {!Speccc_timeabs.Timeabs.solve_analytic} (the [timeabs.solve]
+    checkpoint fires first) and rewrite the formulas.  Exposed so a
+    benchmark can time this layer on its own; every check runs it
+    inside {!run_document}. *)
+
+val decide :
+  options ->
+  ?explicit_session:Speccc_synthesis.Bounded.session ->
+  ?assumptions:Speccc_logic.Ltl.t list ->
+  partition:Speccc_partition.Partition.t ->
+  Speccc_logic.Ltl.t list ->
+  Speccc_synthesis.Realizability.report
+  * Speccc_certify.Certify.outcome option
+(** The decide step every check ends with: a budget from [options]
+    ([fuel], [deadline], [cancel], [snapshot]), the engine ladder of
+    {!Speccc_synthesis.Realizability.check} over the guarantees under
+    [assumptions] (default none), and, when [options.certify], the
+    certification of its witness ({!Speccc_certify.Certify.apply}) on
+    a reserve of fuel taken from that budget.  The certificate is
+    [None] unless [options.certify]. *)
 
 val run : ?options:options -> string list -> outcome
 (** Full pipeline from requirement sentences (positional identifiers;
@@ -128,16 +151,24 @@ val check_formulas :
   ?assumptions:Speccc_logic.Ltl.t list ->
   Speccc_logic.Ltl.t list ->
   Speccc_partition.Partition.t * Speccc_synthesis.Realizability.report
-(** Stage 2 only: partition (unless given) and synthesis over formulas
+(** Stage 2 only: partition (unless given) and {!decide} over formulas
     that are already in LTL, as guarantees under [assumptions]
     (default none), which form the antecedent as in {!run_document}
     and, without [partition], are partitioned as there too.  Used by
     {!Refine}'s subset checks and by specifications authored directly
-    in LTL.  [explicit_session] as in {!run_document}. *)
+    in LTL.  [explicit_session] as in {!run_document}.  The report is
+    the certified one when [options.certify]; callers that print the
+    certificate call {!decide}. *)
 
 val refuted_on : outcome -> string list option
 (** The ids, in [outcome.document], of the requirements the explicit
     rung refuted on ([report.refuted_on]); [None] when the verdict did
     not come from an output component. *)
+
+val pp_verdict :
+  Document.t -> Format.formatter -> Speccc_synthesis.Realizability.report -> unit
+(** The [verdict:] line of a report, then its [refuted on:] line (ids
+    taken from the document; positional [R<n>] for [[]]) and its
+    [degraded:] lines, as cuts of the enclosing vertical box. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -96,18 +96,6 @@ let suggest ~check_subset ~check_partition ~partition formulas =
 
 (* ---------- stage 3 from a checked outcome ---------- *)
 
-(* The checked document split as the pipeline checks it: assumption
-   formulas, and the guarantees with their positions in
-   [outcome.document]. *)
-let split (outcome : Pipeline.outcome) =
-  let tagged =
-    List.mapi
-      (fun i (item, formula) -> (i, Document.is_assumption item, formula))
-      (List.combine outcome.Pipeline.document outcome.Pipeline.formulas)
-  in
-  ( List.filter_map (fun (_, a, f) -> if a then Some f else None) tagged,
-    List.filter_map (fun (i, a, f) -> if a then None else Some (i, f)) tagged )
-
 let consistent (_, report) =
   report.Realizability.verdict = Realizability.Consistent
 
@@ -119,7 +107,8 @@ let localize ?memo ?explicit_session options (outcome : Pipeline.outcome) =
   | Realizability.Consistent -> None
   | Realizability.Inconsistent | Realizability.Inconclusive _ ->
     let options = { options with Pipeline.certify = false } in
-    let assumptions, positioned = split outcome in
+    let assumptions = outcome.Pipeline.assumptions in
+    let positioned = outcome.Pipeline.guarantees in
     let guarantees = List.map snd positioned in
     let assumption_ids = sorted_ids assumptions in
     let obligations =
@@ -160,8 +149,8 @@ let localize ?memo ?explicit_session options (outcome : Pipeline.outcome) =
           partners = at l.partners })
 
 let run options (outcome : Pipeline.outcome) =
-  let assumptions, positioned = split outcome in
-  let guarantees = List.map snd positioned in
+  let assumptions = outcome.Pipeline.assumptions in
+  let guarantees = List.map snd outcome.Pipeline.guarantees in
   let options = { options with Pipeline.certify = false } in
   advise
     ~check_partition:(fun partition ->

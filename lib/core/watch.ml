@@ -114,15 +114,6 @@ let delete session ~id =
   end
   else Error (Printf.sprintf "no requirement %S in the document" id)
 
-(* Content key of the current document: ids, texts and (through the
-   ids) the assumption/guarantee split.  Options are fixed per
-   session, so they need no salt here. *)
-let doc_key doc =
-  String.concat "\x1e"
-    (List.map
-       (fun item -> item.Document.id ^ "\x1f" ^ item.Document.text)
-       doc)
-
 let cache_hits name =
   match
     List.find_opt
@@ -161,11 +152,7 @@ let invalidate session (outcome : Pipeline.outcome) =
   let formulas = outcome.Pipeline.formulas in
   let sorted_ids fs = List.sort_uniq Int.compare (List.map Ltl.id fs) in
   let ids = sorted_ids formulas in
-  let assumptions =
-    List.filter_map
-      (fun (item, f) -> if Document.is_assumption item then Some f else None)
-      (List.combine outcome.Pipeline.document formulas)
-  in
+  let assumptions = outcome.Pipeline.assumptions in
   let assumption_ids = sorted_ids assumptions in
   let partition = outcome.Pipeline.partition.Partition.partition in
   if ids = session.last_ids && assumption_ids = session.last_assumptions
@@ -235,7 +222,8 @@ let check session =
   session.seq <- session.seq + 1;
   session.checks <- session.checks + 1;
   let cached = not (governed session.options) in
-  let key = doc_key session.doc in
+  (* Options are fixed per session, so the key needs no salt. *)
+  let key = Document.key session.doc in
   let outcome, localization, reuse =
     match
       if cached then Verdict_lru.find_opt session.verdicts key else None

@@ -417,49 +417,25 @@ let check_loaded config (key, loaded) =
    mid-write. *)
 exception Stop_requested
 
-let run_sequential config journaled documents =
-  let results = ref [] in
-  let interrupted = ref false in
-  (try
-     List.iter
-       (fun (key, loaded) ->
-          match List.assoc_opt key journaled with
-          | Some replayed -> results := replayed :: !results
-          | None ->
-            if config.stop () then begin
-              interrupted := true;
-              raise Stop_requested
-            end;
-            (* Announced OUTSIDE the guard on purpose: an injected
-               fault here models the whole process dying between
-               documents, which is the scenario --resume exists for. *)
-            Fault.hit Fault.Checkpoint.harness_document;
-            let result = check_loaded config (key, loaded) in
-            Option.iter
-              (fun path ->
-                 journal_append ~fsync:config.journal_fsync path result)
-              config.journal;
-            results := result :: !results)
-       documents
-   with Stop_requested -> ());
-  (List.rev !results, !interrupted)
+(* A pool of [jobs] domains drains an atomic work counter over the
+   non-replayed documents while the spawning domain plays coordinator:
+   it takes each document's result *in input order* and appends
+   journal lines as slots fill, so the journal (and the results list)
+   is the same at every [jobs], minus only the timing-dependent [wall]
+   fields.  Each worker domain owns private hash-consing and memo
+   tables (they are domain-local), so workers share no mutable formula
+   state.  At [jobs = 1] there is no worker: the coordinator checks
+   each fresh document itself where it would wait for its slot, on its
+   own domain's tables.
 
-(* Parallel mode: a pool of [jobs] domains drains an atomic work
-   counter over the non-replayed documents while the spawning domain
-   plays coordinator — it waits for each document's slot *in input
-   order* and appends journal lines as slots fill, so the journal (and
-   the results list) is byte-identical to a sequential run's, minus
-   only the timing-dependent [wall] fields.  Each worker domain owns
-   private hash-consing and memo tables (they are domain-local), so
-   workers share no mutable formula state.
-
-   The [harness.document] checkpoint is announced by the coordinator
-   just before it would journal each fresh document, mirroring the
-   sequential "process dies between documents" semantics: on an
-   injected raise, the journal is a clean input-order prefix.  Workers
-   may by then have computed later documents, but un-journaled work is
+   Per fresh document the coordinator polls [config.stop], announces
+   the [harness.document] checkpoint, takes the result and journals
+   it.  An injected raise at the checkpoint models the whole process
+   dying between documents, which is the scenario --resume exists
+   for: the journal is a clean input-order prefix.  Workers may by
+   then have computed later documents, but un-journaled work is
    simply re-checked on resume. *)
-let run_parallel config journaled documents =
+let run_batch config journaled documents =
   let docs = Array.of_list documents in
   let n = Array.length docs in
   let slots = Array.make n None in
@@ -493,8 +469,22 @@ let run_parallel config journaled documents =
     in
     loop ()
   in
-  let worker_count = min config.jobs (max 1 (Array.length pending)) in
+  let worker_count =
+    if config.jobs <= 1 then 0 else min config.jobs (Array.length pending)
+  in
   let domains = Array.init worker_count (fun _ -> Domain.spawn worker) in
+  let take i =
+    if worker_count = 0 then check_loaded config docs.(i)
+    else begin
+      Mutex.lock lock;
+      while slots.(i) = None do
+        Condition.wait filled lock
+      done;
+      let result = Option.get slots.(i) in
+      Mutex.unlock lock;
+      result
+    end
+  in
   let interrupted = ref false in
   let collect () =
     let out = ref [] in
@@ -512,12 +502,7 @@ let run_parallel config journaled documents =
                 raise Stop_requested
               end;
               Fault.hit Fault.Checkpoint.harness_document;
-              Mutex.lock lock;
-              while slots.(i) = None do
-                Condition.wait filled lock
-              done;
-              let result = Option.get slots.(i) in
-              Mutex.unlock lock;
+              let result = take i in
               Option.iter
                 (fun path ->
                    journal_append ~fsync:config.journal_fsync path result)
@@ -558,10 +543,7 @@ let run_loaded config documents =
         (journal_read ~repair:true path)
     | Some _ | None -> []
   in
-  let results, interrupted =
-    if config.jobs <= 1 then run_sequential config journaled documents
-    else run_parallel config journaled documents
-  in
+  let results, interrupted = run_batch config journaled documents in
   let exit_code =
     List.fold_left (fun acc r -> max acc (severity r.verdict)) 0 results
   in

@@ -76,21 +76,22 @@ type config = {
   resume : bool;
       (** skip documents already present in the journal *)
   jobs : int;
-      (** worker domains checking documents concurrently (default 1 =
-          the plain sequential loop).  With [jobs > 1] documents are
-          fanned out to a [Domain] pool; every worker owns its own
-          hash-consing and memo tables, per-document confinement and
-          retries are unchanged, and the coordinator merges results
-          {e in input order} — journal lines and the results list are
-          identical to a sequential run up to the timing-dependent
-          [wall] fields.  The ["harness.document"] checkpoint is
-          announced by the coordinator at each fresh document's
-          journal slot, so an injected crash still leaves an
-          input-order journal prefix.  Fault {e plans} are
-          mutex-protected process-global state, so fault-injection
-          runs are safe at any [jobs] count: hit counts are exact and
-          coordinator-announced triggers fire at the same documents
-          as in a sequential run. *)
+      (** worker domains checking documents concurrently (default 1).
+          One loop serves every count: with [jobs > 1] documents are
+          fanned out to a [Domain] pool, every worker owning its own
+          hash-consing and memo tables; at [jobs = 1] the coordinator
+          checks each document itself, on its own domain.
+          Per-document confinement and retries are the same at every
+          count, and the coordinator takes results {e in input
+          order} — journal lines and the results list are identical
+          at every [jobs] up to the timing-dependent [wall] fields.
+          The ["harness.document"] checkpoint is announced by the
+          coordinator at each fresh document's journal slot, so an
+          injected crash still leaves an input-order journal prefix.
+          Fault {e plans} are mutex-protected process-global state, so
+          fault-injection runs are safe at any [jobs] count: hit
+          counts are exact and coordinator-announced triggers fire at
+          the same documents at every count. *)
   stop : unit -> bool;
       (** polled before each fresh document (journal replays are never
           blocked); once it returns [true] the run stops cleanly —

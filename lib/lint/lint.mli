@@ -44,7 +44,23 @@ val check :
 (** All findings over a specification, cheapest checks first.
     [Pair_conflict] is only reported for pairs where neither member is
     already [Unsatisfiable], and the quadratic pass is skipped for
-    specifications beyond 60 requirements. *)
+    specifications beyond 60 requirements.  [Vacuous_guard] reads a
+    guard under the whole specification when it has at most 10
+    requirements and its tableau fits in a reserve of
+    {!context_reserve_fuel} steps of its own (under [budget]'s
+    deadline and cancellation when given); otherwise the guard is read
+    on its own. *)
+
+val context_reserve_fuel : int
+(** Steps allowed for the tableau of the whole specification, the
+    vacuity context of {!check}. *)
+
+val first_conflict :
+  ?budget:Speccc_runtime.Budget.t -> Speccc_logic.Ltl.t list -> finding option
+(** The first [Unsatisfiable] or [Pair_conflict] finding of {!check},
+    found by the same requirement-then-pair order, stopping there:
+    no validity or vacuity check runs.  [None] when there is no
+    conflict. *)
 
 val pp_finding :
   requirement_text:(int -> string option) ->

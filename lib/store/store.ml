@@ -44,16 +44,8 @@ let crc32 s =
 
 (* ---------- keys ---------- *)
 
-let key_of_texts ?(salt = "") texts =
-  Digest.to_hex (Digest.string (String.concat "\x1e" texts ^ "\x01" ^ salt))
-
-let key ?salt (doc : Document.t) =
-  (* id + text is the whole canonical identity: the assumption /
-     guarantee split is itself a function of the id prefix, and
-     translation of a sentence is deterministic, so equal digests mean
-     equal hash-consed formulas in any process. *)
-  key_of_texts ?salt
-    (List.map (fun it -> it.Document.id ^ "\x1f" ^ it.Document.text) doc)
+let key ?(salt = "") doc =
+  Digest.to_hex (Digest.string (Document.key doc ^ "\x01" ^ salt))
 
 (* Everything that changes the *checked formulas* (or which sentences
    survive to be checked) must be in the salt, or a stored verdict
@@ -80,9 +72,7 @@ let salt_of_options (o : Pipeline.options) =
   let flag b = if b then "1" else "0" in
   String.concat ","
     [
-      (match o.Pipeline.time_budget with
-       | None -> "tb=gcd"
-       | Some b -> "tb=" ^ string_of_int b);
+      "tb=" ^ string_of_int o.Pipeline.time_budget;
       "smt=1";
       "nx=" ^ flag o.Pipeline.translate.Speccc_translate.Translate.next_as_x;
       "fe=1";

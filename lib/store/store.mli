@@ -68,12 +68,9 @@ type stats = {
   file_bytes : int;        (** current log size on disk *)
 }
 
-val key_of_texts : ?salt:string -> string list -> string
-(** Content digest (hex) of canonical requirement texts. *)
-
 val key : ?salt:string -> Speccc_core.Document.t -> string
-(** Content digest of a parsed document: ids, texts and the
-    assumption/guarantee split all feed the digest. *)
+(** Content digest (hex) of {!Speccc_core.Document.key} and the
+    salt. *)
 
 val salt_of_options : Speccc_core.Pipeline.options -> string
 (** The key salt for the option fields that change the {e checked

@@ -108,30 +108,25 @@ let all_degraded rungs =
    reserve keeps the check's deadline and cancellation token. *)
 let lint_reserve_fuel = 20_000
 
-(* The first conflict the pass finds, as (core, explanation). *)
-let first_conflict findings =
-  List.find_map
-    (fun finding ->
-       let core =
-         match finding with
-         | Speccc_lint.Lint.Unsatisfiable i -> Some [ i ]
-         | Speccc_lint.Lint.Pair_conflict (i, j, _) -> Some [ i; j ]
-         | Speccc_lint.Lint.Valid _ | Speccc_lint.Lint.Vacuous_guard _ -> None
-       in
-       Option.map
-         (fun core ->
-            ( core,
-              Format.asprintf "%a"
-                (Speccc_lint.Lint.pp_finding ~requirement_text:(fun _ -> None))
-                finding ))
-         core)
-    findings
-
+(* The first conflict, as (core, explanation). *)
 let lint_floor ~budget requirements =
   let reserve = Budget.reserve budget ~fuel:lint_reserve_fuel in
+  let explain finding =
+    let core =
+      match finding with
+      | Speccc_lint.Lint.Unsatisfiable i -> [ i ]
+      | Speccc_lint.Lint.Pair_conflict (i, j, _) -> [ i; j ]
+      | Speccc_lint.Lint.Valid _ | Speccc_lint.Lint.Vacuous_guard _ -> []
+    in
+    ( core,
+      Format.asprintf "%a"
+        (Speccc_lint.Lint.pp_finding ~requirement_text:(fun _ -> None))
+        finding )
+  in
   Runtime.timed (fun () ->
       Runtime.guard ~stage:"lint" (fun () ->
-          first_conflict (Speccc_lint.Lint.check ~budget:reserve requirements)))
+          Option.map explain
+            (Speccc_lint.Lint.first_conflict ~budget:reserve requirements)))
 
 let explicit_verdict_of = function
   | Bounded.Realizable controller ->

@@ -95,6 +95,14 @@ val canonical_degradation : report -> rung list
     certify, ladder, then anything else).  CLI printers use this so a
     given report always renders identically. *)
 
+val spec_of :
+  assumptions:Speccc_logic.Ltl.t list ->
+  Speccc_logic.Ltl.t list ->
+  Speccc_logic.Ltl.t
+(** The formula a check decides: the conjunction of the requirements,
+    under the conjunction of [assumptions] as antecedent when there
+    are any. *)
+
 val check :
   ?budget:Speccc_runtime.Budget.t ->
   ?engine:engine ->
@@ -129,9 +137,10 @@ val check :
     {b The lint step.}  When no rung concluded — every rung degraded,
     was skipped or was inconclusive, and neither the deadline nor
     cancellation aborted the ladder — the ladder ends with a lint pass
-    over [requirements] on a 20,000-step reserve of fuel of its own
-    that keeps the budget's deadline and cancellation token.  An
-    unsatisfiable requirement or a conflicting pair refutes
+    ({!Speccc_lint.Lint.first_conflict}, which stops at the first
+    conflict) over [requirements] on a 20,000-step reserve of fuel of
+    its own that keeps the budget's deadline and cancellation token.
+    An unsatisfiable requirement or a conflicting pair refutes
     realizability: the verdict is [Inconsistent], the engine ["lint"]
     and [unsat_core] the requirements at fault.  Otherwise the verdict
     stays [Inconclusive] with engine ["none"] and the last

@@ -365,7 +365,8 @@ let test_assumptions_rescue_realizability () =
   in
   let without =
     Pipeline.run ~options:explicit_options
-      (Document.texts (snd (Document.split document)))
+      (Document.texts
+         (List.filter (fun item -> not (Document.is_assumption item)) document))
   in
   Alcotest.(check bool) "unrealizable without assumption" false
     (is_consistent without.Pipeline.report);
@@ -380,7 +381,9 @@ let test_assumption_detection () =
     Document.parse
       "ASSUME_A: The pump is available.\nR1: The alarm is disabled.\n"
   in
-  let assumptions, guarantees = Document.split document in
+  let assumptions, guarantees =
+    List.partition Document.is_assumption document
+  in
   Alcotest.(check int) "one assumption" 1 (List.length assumptions);
   Alcotest.(check int) "one guarantee" 1 (List.length guarantees)
 
@@ -423,7 +426,8 @@ let test_arbiter () =
    | None -> Alcotest.fail "controller expected");
   (* without the assumptions the one-shot double request is fatal *)
   let guarantees_only =
-    Document.texts (snd (Document.split document))
+    Document.texts
+      (List.filter (fun item -> not (Document.is_assumption item)) document)
   in
   let bare = Pipeline.run ~options:explicit_options guarantees_only in
   Alcotest.(check bool) "unrealizable without the assumptions" false

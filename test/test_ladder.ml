@@ -261,6 +261,33 @@ let test_lint_step_direct_equals_pipeline () =
     (zero_walls (Realizability.canonical_degradation direct)
      = zero_walls (Realizability.canonical_degradation piped))
 
+(* The lint step stops at its first conflict.  CARA:3.1's whole
+   specification is a vacuity context the tableau cannot build within
+   the lint reserve, so a full lint pass here spends the reserve after
+   it has found the pump pair's conflict; the step must keep it. *)
+let test_lint_step_keeps_its_conflict () =
+  let cara_3_1 =
+    List.find (fun c -> c.Speccc_casestudies.Cara.row = "3.1")
+      Speccc_casestudies.Cara.components
+  in
+  let document =
+    Document.of_texts
+      ([ "The pump is started."; "The pump is not started." ]
+       @ Speccc_casestudies.Cara.component_sentences cara_3_1)
+  in
+  let report =
+    (with_faults
+       [ fail_at Fault.Checkpoint.engine_symbolic;
+         fail_at Fault.Checkpoint.engine_explicit ]
+       (fun () -> Pipeline.run_document document))
+      .Pipeline.report
+  in
+  Alcotest.(check string) "verdict" "inconsistent"
+    (verdict_class report.Realizability.verdict);
+  Alcotest.(check string) "engine" "lint" report.Realizability.engine_used;
+  Alcotest.(check (option (list int))) "core" (Some [ 0; 1 ])
+    report.Realizability.unsat_core
+
 (* The lint pass reads the guarantees without their antecedent, so it
    takes no step under assumptions.  Contradictory assumptions make
    this document vacuously realizable; with the explicit rung (the
@@ -452,6 +479,8 @@ let () =
             test_lint_step_direct_equals_pipeline;
           Alcotest.test_case "nobody decided: engine none" `Quick
             test_nobody_decided;
+          Alcotest.test_case "a conflict found is kept" `Quick
+            test_lint_step_keeps_its_conflict;
           Alcotest.test_case "no lint step under assumptions" `Quick
             test_no_lint_step_under_assumptions ] );
       ( "components",

@@ -21,28 +21,28 @@ let test_find_word_basic () =
   Alcotest.(check bool) "G a && F !a empty" true
     (Nbw.is_empty (Nbw.of_ltl (parse "G a && F (!a)")))
 
+let formula_gen =
+  let open QCheck2.Gen in
+  let prop_names = [ "a"; "b"; "c" ] in
+  int_range 0 8 >>= fix (fun self size ->
+      if size <= 1 then
+        oneof [ return Ltl.True; return Ltl.False;
+                map Ltl.prop (oneofl prop_names) ]
+      else
+        let sub = self (size / 2) in
+        oneof
+          [
+            map Ltl.prop (oneofl prop_names);
+            map (fun f -> Ltl.Not f) sub;
+            map2 (fun f g -> Ltl.And (f, g)) sub sub;
+            map2 (fun f g -> Ltl.Or (f, g)) sub sub;
+            map (fun f -> Ltl.Next f) sub;
+            map (fun f -> Ltl.Eventually f) sub;
+            map (fun f -> Ltl.Always f) sub;
+            map2 (fun f g -> Ltl.Until (f, g)) sub sub;
+          ])
+
 let prop_witnesses_are_models =
-  let formula_gen =
-    let open QCheck2.Gen in
-    let prop_names = [ "a"; "b"; "c" ] in
-    int_range 0 8 >>= fix (fun self size ->
-        if size <= 1 then
-          oneof [ return Ltl.True; return Ltl.False;
-                  map Ltl.prop (oneofl prop_names) ]
-        else
-          let sub = self (size / 2) in
-          oneof
-            [
-              map Ltl.prop (oneofl prop_names);
-              map (fun f -> Ltl.Not f) sub;
-              map2 (fun f g -> Ltl.And (f, g)) sub sub;
-              map2 (fun f g -> Ltl.Or (f, g)) sub sub;
-              map (fun f -> Ltl.Next f) sub;
-              map (fun f -> Ltl.Eventually f) sub;
-              map (fun f -> Ltl.Always f) sub;
-              map2 (fun f g -> Ltl.Until (f, g)) sub sub;
-            ])
-  in
   QCheck2.Test.make ~count:300
     ~name:"find_word returns models; None only for unsatisfiable"
     formula_gen
@@ -126,6 +126,45 @@ let test_check_clean_spec () =
   Alcotest.(check (list int)) "no findings" []
     (List.map (fun _ -> 0) (check formulas))
 
+(* The conflict-only pass is the first conflict of the full pass,
+   witness included. *)
+let prop_first_conflict_of_check =
+  QCheck2.Test.make ~count:200
+    ~name:"first_conflict = first conflict finding of check"
+    QCheck2.Gen.(list_size (int_range 0 5) formula_gen)
+    (fun formulas ->
+       let first =
+         List.find_opt
+           (function
+             | Unsatisfiable _ | Pair_conflict _ -> true
+             | Valid _ | Vacuous_guard _ -> false)
+           (check formulas)
+       in
+       first_conflict formulas = first)
+
+(* CARA:3.1's nine requirements make a vacuity context whose tableau
+   does not fit the context reserve: the guards are read on their own,
+   so the pass ends, with no findings. *)
+let test_vacuity_context_reserve () =
+  let cara_3_1 =
+    List.find (fun c -> c.Speccc_casestudies.Cara.row = "3.1")
+      Speccc_casestudies.Cara.components
+  in
+  let outcome =
+    Speccc_core.Pipeline.run
+      (Speccc_casestudies.Cara.component_sentences cara_3_1)
+  in
+  let formulas = outcome.Speccc_core.Pipeline.formulas in
+  Alcotest.(check bool) "the whole specification exceeds the reserve" true
+    (match
+       satisfiable
+         ~budget:(Speccc_runtime.Budget.create ~fuel:context_reserve_fuel ())
+         (Ltl.conj_list formulas)
+     with
+     | _ -> false
+     | exception Speccc_runtime.Runtime.Interrupt _ -> true);
+  Alcotest.(check int) "no findings" 0 (List.length (check formulas))
+
 let test_pp_finding () =
   let rendered =
     Format.asprintf "%a"
@@ -162,5 +201,8 @@ let () =
           Alcotest.test_case "clean specification" `Quick
             test_check_clean_spec;
           Alcotest.test_case "rendering" `Quick test_pp_finding;
+          QCheck_alcotest.to_alcotest prop_first_conflict_of_check;
+          Alcotest.test_case "vacuity context on a reserve" `Quick
+            test_vacuity_context_reserve;
         ] );
     ]

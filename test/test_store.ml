@@ -341,7 +341,14 @@ let test_key_content_addressing () =
   Alcotest.(check bool) "different content, different key" true
     (Store.key d1 <> Store.key d3);
   Alcotest.(check bool) "salt separates keyspaces" true
-    (Store.key ~salt:"tb=3" d1 <> Store.key ~salt:"tb=7" d1)
+    (Store.key ~salt:"tb=3" d1 <> Store.key ~salt:"tb=7" d1);
+  (* Existing stores keep their keys: the digest of a known document
+     under the default salt is pinned. *)
+  Alcotest.(check string) "pinned digest" "854f89e420f3b94646c8b849ff72b89d"
+    (Store.key
+       ~salt:(Store.salt_of_options (Pipeline.default_options ()))
+       (Document.parse
+          "R1: The pump is started.\nAssume-1: The button is pressed.\n"))
 
 (* Per-field audit of the salt: every option that changes the checked
    formulas (and hence possibly the verdict) must feed it; every
@@ -361,9 +368,7 @@ let test_salt_of_options () =
   Alcotest.(check string) "default salt unchanged"
     "tb=5,smt=1,nx=0,fe=1,rec=0" base;
   (* formula-changing fields *)
-  changes "time budget" { options with Pipeline.time_budget = Some 7 };
-  changes "time budget None"
-    { options with Pipeline.time_budget = None };
+  changes "time budget" { options with Pipeline.time_budget = 7 };
   changes "next-as-X template"
     { options with
       Pipeline.translate =
