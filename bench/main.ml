@@ -345,8 +345,9 @@ let robot_sweep () =
          (List.length scenario.Robot.outputs)
          (Unix.gettimeofday () -. t0)
          (verdict_string report.Realizability.verdict))
-    (* (3,6) runs ~80 s and (3,9) far beyond — the sweep stops where
-       an interactive run stays pleasant; see EXPERIMENTS.md *)
+    (* (3,5) takes about 2 s, (3,6) about 14 s and (3,9) passes 3 GB
+       of memory — the sweep stops where an interactive run stays
+       pleasant; see EXPERIMENTS.md *)
     [ (1, 4); (1, 6); (1, 9); (1, 12); (2, 5); (2, 8); (3, 4) ]
 
 let localize_sizes = [ 4; 8; 12; 16 ]

@@ -211,10 +211,9 @@ let print_stats () =
     (Speccc_cache.Cache.stats ());
   let b = Speccc_bdd.Bdd.counters () in
   Format.eprintf
-    "== bdd ==@.bdd               nodes=%d op_hits=%d op_misses=%d \
-     reorders=%d@."
+    "== bdd ==@.bdd               nodes=%d op_hits=%d op_misses=%d@."
     b.Speccc_bdd.Bdd.nodes b.Speccc_bdd.Bdd.op_hits
-    b.Speccc_bdd.Bdd.op_misses b.Speccc_bdd.Bdd.reorders;
+    b.Speccc_bdd.Bdd.op_misses;
   let module Memwatch = Speccc_runtime.Memwatch in
   let m = Memwatch.stats () in
   Format.eprintf

@@ -11,14 +11,13 @@ let node_id = function Zero -> 0 | One -> 1 | Node { id; _ } -> id
 let created_total = ref 0
 let op_hits_total = ref 0
 let op_misses_total = ref 0
-let reorders_total = ref 0
 
 type counters = {
   nodes : int;      (* nodes ever hash-consed *)
   op_hits : int;    (* computed-table hits (ite, quantification,
                         relational product) *)
   op_misses : int;  (* computed-table misses *)
-  reorders : int;   (* dynamic reordering passes *)
+  reorders : int;   (* always 0: the variable order is fixed *)
 }
 
 let counters () =
@@ -26,7 +25,7 @@ let counters () =
     nodes = !created_total;
     op_hits = !op_hits_total;
     op_misses = !op_misses_total;
-    reorders = !reorders_total;
+    reorders = 0;
   }
 
 type manager = {
@@ -38,7 +37,10 @@ type manager = {
      entry is simply overwritten — recomputation returns the same
      canonical node, so losing an entry costs time, never soundness.
      Compared to a keyed hashtable this does no allocation per probe
-     (no boxed tuple, no [Some]). *)
+     (no boxed tuple, no [Some]).  The tables start at 256 entries and
+     double with the node count (see [grow_ct]): most solves create a
+     few hundred nodes, and a fresh manager should not cost them more
+     than that. *)
   mutable ct_f : int array;
   mutable ct_g : int array;
   mutable ct_h : int array;
@@ -54,45 +56,35 @@ type manager = {
   mutable quant_key : int;              (* token for quant_vars *)
   quant_keys : (int list, int) Hashtbl.t;  (* varset ↦ stable token *)
   mutable next_quant_key : int;
-  (* Dynamic variable order: [level_of.(v)] is the depth of variable
-     [v]; empty arrays mean the identity order.  Only [reorder] ever
-     installs a non-identity permutation. *)
-  mutable level_of : int array;
-  mutable var_at : int array;
-  mutable reorder_threshold : int option;
-  mutable reorders : int;
   mutable budget : Speccc_runtime.Budget.t option;
 }
 
-let ct_bits_initial = 12
+let ct_bits_initial = 8
 let ct_bits_max = 19
 
-let make_ct bits = (Array.make (1 lsl bits) (-1), 1 lsl bits)
+(* Tables of [size] entries double when the next node id reaches
+   [ct_grow_factor * size], until they have [2^ct_bits_max] entries. *)
+let ct_grow_factor = 4
 
 let manager () =
-  let ct_f, _ = make_ct ct_bits_initial in
-  let qt_node, _ = make_ct ct_bits_initial in
+  let size = 1 lsl ct_bits_initial in
   {
     next_id = 2;
     unique = Hashtbl.create 4096;
-    ct_f;
-    ct_g = Array.make (1 lsl ct_bits_initial) (-1);
-    ct_h = Array.make (1 lsl ct_bits_initial) (-1);
-    ct_r = Array.make (1 lsl ct_bits_initial) Zero;
-    ct_mask = (1 lsl ct_bits_initial) - 1;
-    ct_grow_at = 4 * (1 lsl ct_bits_initial);
-    qt_node;
-    qt_key = Array.make (1 lsl ct_bits_initial) (-1);
-    qt_r = Array.make (1 lsl ct_bits_initial) Zero;
-    qt_mask = (1 lsl ct_bits_initial) - 1;
+    ct_f = Array.make size (-1);
+    ct_g = Array.make size (-1);
+    ct_h = Array.make size (-1);
+    ct_r = Array.make size Zero;
+    ct_mask = size - 1;
+    ct_grow_at = ct_grow_factor * size;
+    qt_node = Array.make size (-1);
+    qt_key = Array.make size (-1);
+    qt_r = Array.make size Zero;
+    qt_mask = size - 1;
     quant_vars = [];
     quant_key = -1;
     quant_keys = Hashtbl.create 64;
     next_quant_key = 0;
-    level_of = [||];
-    var_at = [||];
-    reorder_threshold = None;
-    reorders = 0;
     budget = None;
   }
 
@@ -101,18 +93,8 @@ let has_budget m = m.budget <> None
 
 let node_count m = Hashtbl.length m.unique
 
-let clear_caches m =
-  Array.fill m.ct_f 0 (Array.length m.ct_f) (-1);
-  Array.fill m.qt_node 0 (Array.length m.qt_node) (-1)
-
 let zero _ = Zero
 let one _ = One
-
-(* Level of a variable under the current order; identity until the
-   first reordering installs a permutation.  Variables beyond the
-   permutation arrays keep their numeric level (reordering only ever
-   permutes the prefix it was shown). *)
-let level m v = if v < Array.length m.level_of then Array.unsafe_get m.level_of v else v
 
 (* Packing limits for the unique-table key: variable in 12 bits, node
    ids in 25 bits each (33M nodes — far beyond what the memory
@@ -122,28 +104,27 @@ let max_nodes = 1 lsl 25
 
 let pack v l h = (v lsl 50) lor (l lsl 25) lor h
 
+(* Doubling drops every cached entry: the tables are lossy, so that
+   costs recomputation, never a wrong answer.  An operation that is
+   mid-recursion when [mk] grows the tables recomputes its slot before
+   storing. *)
+let grow_ct m =
+  let size = 2 * (m.ct_mask + 1) in
+  m.ct_f <- Array.make size (-1);
+  m.ct_g <- Array.make size (-1);
+  m.ct_h <- Array.make size (-1);
+  m.ct_r <- Array.make size Zero;
+  m.ct_mask <- size - 1;
+  m.qt_node <- Array.make size (-1);
+  m.qt_key <- Array.make size (-1);
+  m.qt_r <- Array.make size Zero;
+  m.qt_mask <- size - 1;
+  m.ct_grow_at <-
+    (if size >= 1 lsl ct_bits_max then max_int else ct_grow_factor * size)
+
 (* Every BDD operation (ite, quantification, composition) funnels
    through [mk], so charging fuel here governs them all: work between
    two [mk] calls is bounded by the operation caches. *)
-let grow_ct m =
-  let bits =
-    let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-    log2 (m.ct_mask + 1) 0
-  in
-  if bits < ct_bits_max then begin
-    let size = 1 lsl (bits + 1) in
-    m.ct_f <- Array.make size (-1);
-    m.ct_g <- Array.make size (-1);
-    m.ct_h <- Array.make size (-1);
-    m.ct_r <- Array.make size Zero;
-    m.ct_mask <- size - 1;
-    m.qt_node <- Array.make size (-1);
-    m.qt_key <- Array.make size (-1);
-    m.qt_r <- Array.make size Zero;
-    m.qt_mask <- size - 1
-  end;
-  m.ct_grow_at <- m.ct_grow_at * 4
-
 let mk m v low high =
   (match m.budget with
    | Some budget -> Speccc_runtime.Budget.checkpoint budget ~stage:"bdd"
@@ -220,23 +201,16 @@ let rec ite m f g h =
     end
     else begin
       incr op_misses_total;
-      (* Split on the variable closest to the root under the current
-         order. *)
-      let lv d = match d with Node { var; _ } -> level m var | _ -> max_int in
-      let lf = lv f and lg = lv g and lh = lv h in
-      let l = min lf (min lg lh) in
-      let v =
-        if lf = l then (match f with Node { var; _ } -> var | _ -> assert false)
-        else if lg = l then
-          (match g with Node { var; _ } -> var | _ -> assert false)
-        else (match h with Node { var; _ } -> var | _ -> assert false)
-      in
+      (* Split on the variable closest to the root. *)
+      let tv d = match d with Node { var; _ } -> var | _ -> max_int in
+      let v = min (tv f) (min (tv g) (tv h)) in
       let f0, f1 = cofactors v f in
       let g0, g1 = cofactors v g in
       let h0, h1 = cofactors v h in
       let low = ite m f0 g0 h0 in
       let high = ite m f1 g1 h1 in
       let result = mk m v low high in
+      (* [mk] may have grown the table: recompute the slot. *)
       let idx = ct_slot m fi gi hi in
       Array.unsafe_set m.ct_f idx fi;
       Array.unsafe_set m.ct_g idx gi;
@@ -255,21 +229,14 @@ let eqv m f g = ite m f g (not_ m g)
 let and_list m fs = List.fold_left (and_ m) One fs
 let or_list m fs = List.fold_left (or_ m) Zero fs
 
-let sort_by_level m vars =
-  List.sort_uniq
-    (fun a b ->
-       let c = compare (level m a) (level m b) in
-       if c <> 0 then c else compare a b)
-    vars
-
-(* Quantification over a variable list (processed in order-level
-   order).  The computed table is keyed by a stable token per variable
-   set, so alternating between the same few sets — as the bucket
-   eliminator in the synthesis engine does every round — keeps hitting
-   cached entries instead of resetting.  [set_quant_vars] returns the
-   set in level order and makes [m.quant_key] its token. *)
+(* Quantification over a variable list (processed root-most first).
+   The computed table is keyed by a stable token per variable set, so
+   alternating between the same few sets — as the bucket eliminator in
+   the synthesis engine does every round — keeps hitting cached entries
+   instead of resetting.  [set_quant_vars] returns the set sorted and
+   deduplicated and makes [m.quant_key] its token. *)
 let set_quant_vars m vars =
-  let vars = sort_by_level m vars in
+  let vars = List.sort_uniq compare vars in
   if m.quant_vars <> vars then begin
     m.quant_vars <- vars;
     m.quant_key <-
@@ -283,17 +250,19 @@ let set_quant_vars m vars =
   end;
   vars
 
-(* [remaining] is the level-sorted variable set still ahead of [f]'s
-   root; [tag] keys the cache by the whole set and the quantifier, so
-   entries hold for every suffix. *)
+let qt_slot m id tag = ((id * 0x9E3779B1) lxor (tag * 0x85EBCA77)) land m.qt_mask
+
+(* [remaining] is the sorted variable set still ahead of [f]'s root;
+   [tag] keys the cache by the whole set and the quantifier, so entries
+   hold for every suffix. *)
 let rec quantify_from m ~is_forall tag remaining f =
   match f, remaining with
   | (Zero | One), _ -> f
   | _, [] -> f
   | Node { id; var; low; high; _ }, v :: rest ->
-    if level m var > level m v then quantify_from m ~is_forall tag rest f
+    if var > v then quantify_from m ~is_forall tag rest f
     else begin
-      let idx = ((id * 0x9E3779B1) lxor (tag * 0x85EBCA77)) land m.qt_mask in
+      let idx = qt_slot m id tag in
       if
         Array.unsafe_get m.qt_node idx = id
         && Array.unsafe_get m.qt_key idx = tag
@@ -313,6 +282,7 @@ let rec quantify_from m ~is_forall tag remaining f =
             and h = quantify_from m ~is_forall tag remaining high in
             mk m var l h
         in
+        let idx = qt_slot m id tag in
         Array.unsafe_set m.qt_node idx id;
         Array.unsafe_set m.qt_key idx tag;
         Array.unsafe_set m.qt_r idx result;
@@ -328,9 +298,9 @@ let quantify m ~is_forall vars f =
 let exists m vars f = quantify m ~is_forall:false vars f
 let forall m vars f = quantify m ~is_forall:true vars f
 
-(* The suffix of a level-sorted variable list from level [l] down. *)
-let rec drop_above m l = function
-  | v :: rest when level m v < l -> drop_above m l rest
+(* The suffix of a sorted variable list from variable [l] down. *)
+let rec drop_above l = function
+  | v :: rest when v < l -> drop_above l rest
   | vars -> vars
 
 (* Relational product ∃vars. f ∧ g in one pass (CUDD's AndAbstract):
@@ -352,9 +322,8 @@ let and_exists m vars f g =
     | Node a, Node b ->
       if a.id = b.id then quantify_from m ~is_forall:false tag remaining f
       else begin
-        let la = level m a.var and lb = level m b.var in
-        let l = min la lb in
-        match drop_above m l remaining with
+        let v = min a.var b.var in
+        match drop_above v remaining with
         | [] -> and_ m f g
         | remaining ->
           let fi = min a.id b.id and gi = max a.id b.id in
@@ -369,7 +338,6 @@ let and_exists m vars f g =
           end
           else begin
             incr op_misses_total;
-            let v = if la = l then a.var else b.var in
             let f0, f1 = cofactors v f in
             let g0, g1 = cofactors v g in
             let result =
@@ -393,18 +361,14 @@ let and_exists m vars f g =
 
 let restrict m assignment f =
   let assignment =
-    List.sort_uniq
-      (fun (a, _) (b, _) ->
-         let c = compare (level m a) (level m b) in
-         if c <> 0 then c else compare a b)
-      assignment
+    List.sort_uniq (fun (a, _) (b, _) -> compare a b) assignment
   in
   let rec go remaining f =
     match f, remaining with
     | (Zero | One), _ -> f
     | _, [] -> f
     | Node { var; low; high; _ }, (v, value) :: rest ->
-      if level m var > level m v then go rest f
+      if var > v then go rest f
       else if var = v then go rest (if value then high else low)
       else mk m var (go remaining low) (go remaining high)
   in
@@ -414,7 +378,7 @@ let rec compose m v g f =
   match f with
   | Zero | One -> f
   | Node { var; low; high; _ } ->
-    if level m var > level m v then f
+    if var > v then f
     else if var = v then ite m g high low
     else
       let l = compose m v g low and h = compose m v g high in
@@ -450,15 +414,11 @@ let rename m mapping f =
   end
 
 let rename_monotone m mapping f =
-  let mapping =
-    List.sort
-      (fun (a, _) (b, _) -> compare (level m a) (level m b))
-      mapping
-  in
+  let mapping = List.sort (fun (a, _) (b, _) -> compare a b) mapping in
   let rec check_monotone = function
     | [] | [ _ ] -> ()
     | (_, dst1) :: (((_, dst2) :: _) as rest) ->
-      if level m dst1 >= level m dst2 then
+      if dst1 >= dst2 then
         invalid_arg "Bdd.rename_monotone: mapping is not monotone";
       check_monotone rest
   in
@@ -488,7 +448,7 @@ let rename_monotone m mapping f =
   in
   go f
 
-let support m f =
+let support f =
   let module Int_set = Set.Make (Int) in
   let seen = Hashtbl.create 64 in
   let vars = ref Int_set.empty in
@@ -503,17 +463,15 @@ let support m f =
       end
   in
   go f;
-  List.sort
-    (fun a b -> compare (level m a) (level m b))
-    (Int_set.elements !vars)
+  Int_set.elements !vars
 
-(* [count d] = number of models of [d] over the order positions below
-   [d]'s root level; models over all [nvars] positions are then
-   obtained by scaling for the levels above the root. *)
-let sat_count m f ~nvars =
+(* [count d] = number of models of [d] over the variables below [d]'s
+   root; models over all [nvars] variables are then obtained by scaling
+   for the variables above the root. *)
+let sat_count f ~nvars =
   let cache = Hashtbl.create 64 in
   let pow2 k = 2.0 ** float_of_int k in
-  let lvl = function Zero | One -> nvars | Node { var; _ } -> level m var in
+  let lvl = function Zero | One -> nvars | Node { var; _ } -> var in
   let rec count = function
     | Zero -> 0.0
     | One -> 1.0
@@ -522,8 +480,8 @@ let sat_count m f ~nvars =
        | Some n -> n
        | None ->
          let n =
-           (count low *. pow2 (lvl low - level m var - 1))
-           +. (count high *. pow2 (lvl high - level m var - 1))
+           (count low *. pow2 (lvl low - var - 1))
+           +. (count high *. pow2 (lvl high - var - 1))
          in
          Hashtbl.add cache id n;
          n)
@@ -589,339 +547,3 @@ let pp_dot ppf f =
   in
   go f;
   Format.fprintf ppf "}@\n"
-
-(* ------------------------------------------------------------------ *)
-(* Dynamic variable reordering by group sifting.
-
-   Hash-consed nodes are immutable, so CUDD's in-place level swaps
-   cannot run on the live graph.  Instead the live portion (everything
-   reachable from the caller's roots) is exported to a mutable scratch
-   graph with reference counts, Rudell sifting runs there with exact
-   per-level size accounting, and the result is imported back
-   bottom-up into a fresh unique table.  Every [t] value not passed as
-   a root is invalid afterwards. *)
-
-type scratch = {
-  mutable s_var : int array;
-  mutable s_low : int array;
-  mutable s_high : int array;
-  mutable s_refs : int array;
-  mutable s_n : int;
-  s_tab : (int, int) Hashtbl.t array;  (* per var: (low, high) ↦ index *)
-  s_cnt : int array;                   (* live nodes per var *)
-  mutable s_total : int;
-  s_lvl : int array;                   (* var ↦ level *)
-  s_vat : int array;                   (* level ↦ var *)
-}
-
-let skey l h = (l lsl 28) lor h
-
-let s_alloc s v l h =
-  if s.s_n = Array.length s.s_var then begin
-    let grow a fill =
-      let b = Array.make (2 * Array.length a) fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    s.s_var <- grow s.s_var 0;
-    s.s_low <- grow s.s_low 0;
-    s.s_high <- grow s.s_high 0;
-    s.s_refs <- grow s.s_refs 0
-  end;
-  let i = s.s_n in
-  s.s_n <- i + 1;
-  s.s_var.(i) <- v;
-  s.s_low.(i) <- l;
-  s.s_high.(i) <- h;
-  s.s_refs.(i) <- 0;
-  i
-
-let rec s_decref s i =
-  if i >= 2 then begin
-    s.s_refs.(i) <- s.s_refs.(i) - 1;
-    if s.s_refs.(i) = 0 then begin
-      let v = s.s_var.(i) in
-      Hashtbl.remove s.s_tab.(v) (skey s.s_low.(i) s.s_high.(i));
-      s.s_cnt.(v) <- s.s_cnt.(v) - 1;
-      s.s_total <- s.s_total - 1;
-      s_decref s s.s_low.(i);
-      s_decref s s.s_high.(i)
-    end
-  end
-
-let s_incref s i = if i >= 2 then s.s_refs.(i) <- s.s_refs.(i) + 1
-
-(* Find-or-create with the reduction rule; fresh nodes hold references
-   to their children and start with zero parents (the caller takes the
-   reference). *)
-let s_mk s v l h =
-  if l = h then l
-  else
-    let key = skey l h in
-    match Hashtbl.find_opt s.s_tab.(v) key with
-    | Some i -> i
-    | None ->
-      let i = s_alloc s v l h in
-      s_incref s l;
-      s_incref s h;
-      s.s_cnt.(v) <- s.s_cnt.(v) + 1;
-      s.s_total <- s.s_total + 1;
-      Hashtbl.add s.s_tab.(v) key i;
-      i
-
-(* Exchange adjacent levels [l] and [l+1].  Only nodes labelled with
-   the upper variable that reference the lower one are rewritten, in
-   place, so parent links stay valid. *)
-let s_swap s l =
-  let x = s.s_vat.(l) and y = s.s_vat.(l + 1) in
-  let members = Hashtbl.fold (fun _ i acc -> i :: acc) s.s_tab.(x) [] in
-  List.iter
-    (fun f ->
-       let f0 = s.s_low.(f) and f1 = s.s_high.(f) in
-       let touches n = n >= 2 && s.s_var.(n) = y in
-       if touches f0 || touches f1 then begin
-         Hashtbl.remove s.s_tab.(x) (skey f0 f1);
-         let f00, f01 =
-           if touches f0 then (s.s_low.(f0), s.s_high.(f0)) else (f0, f0)
-         in
-         let f10, f11 =
-           if touches f1 then (s.s_low.(f1), s.s_high.(f1)) else (f1, f1)
-         in
-         let g0 = s_mk s x f00 f10 in
-         s_incref s g0;
-         let g1 = s_mk s x f01 f11 in
-         s_incref s g1;
-         s.s_var.(f) <- y;
-         s.s_low.(f) <- g0;
-         s.s_high.(f) <- g1;
-         Hashtbl.add s.s_tab.(y) (skey g0 g1) f;
-         s.s_cnt.(x) <- s.s_cnt.(x) - 1;
-         s.s_cnt.(y) <- s.s_cnt.(y) + 1;
-         s_decref s f0;
-         s_decref s f1
-       end)
-    members;
-  s.s_vat.(l) <- y;
-  s.s_vat.(l + 1) <- x;
-  s.s_lvl.(y) <- l;
-  s.s_lvl.(x) <- l + 1
-
-(* Move variable [v] down one level repeatedly. *)
-let s_move_down s v times =
-  for _ = 1 to times do
-    s_swap s s.s_lvl.(v)
-  done
-
-(* Swap two adjacent variable groups in the sequence. *)
-let swap_groups s a b =
-  (* Move each member of [a], bottom-most first, below all of [b]. *)
-  for i = Array.length a - 1 downto 0 do
-    s_move_down s a.(i) (Array.length b)
-  done
-
-let max_growth = 2.0
-
-(* Sift one group through every legal position (levels >= [pinned]) and
-   settle it where the live graph was smallest. *)
-let sift_group s seq pos =
-  let ngroups = Array.length seq in
-  let best = ref s.s_total and best_pos = ref pos and cur = ref pos in
-  let record () =
-    if s.s_total < !best then begin
-      best := s.s_total;
-      best_pos := !cur
-    end
-  in
-  (* Down to the bottom, aborting when the graph blows past the growth
-     limit. *)
-  (try
-     while !cur < ngroups - 1 do
-       swap_groups s seq.(!cur) seq.(!cur + 1);
-       let tmp = seq.(!cur) in
-       seq.(!cur) <- seq.(!cur + 1);
-       seq.(!cur + 1) <- tmp;
-       incr cur;
-       record ();
-       if float_of_int s.s_total > max_growth *. float_of_int !best then
-         raise Exit
-     done
-   with Exit -> ());
-  (* Up to the top.  The abort is only allowed once the group has
-     passed the best position found so far, so settling can always
-     reach it going down. *)
-  (try
-     while !cur > 0 do
-       swap_groups s seq.(!cur - 1) seq.(!cur);
-       let tmp = seq.(!cur) in
-       seq.(!cur) <- seq.(!cur - 1);
-       seq.(!cur - 1) <- tmp;
-       decr cur;
-       record ();
-       if
-         !cur < !best_pos
-         && float_of_int s.s_total > max_growth *. float_of_int !best
-       then raise Exit
-     done
-   with Exit -> ());
-  (* Settle at the best position. *)
-  while !cur < !best_pos do
-    swap_groups s seq.(!cur) seq.(!cur + 1);
-    let tmp = seq.(!cur) in
-    seq.(!cur) <- seq.(!cur + 1);
-    seq.(!cur + 1) <- tmp;
-    incr cur
-  done;
-  while !cur > !best_pos do
-    swap_groups s seq.(!cur - 1) seq.(!cur);
-    let tmp = seq.(!cur) in
-    seq.(!cur) <- seq.(!cur - 1);
-    seq.(!cur - 1) <- tmp;
-    decr cur
-  done
-
-let set_reorder_threshold m threshold = m.reorder_threshold <- threshold
-
-let reorder_due m =
-  match m.reorder_threshold with
-  | None -> false
-  | Some threshold -> Hashtbl.length m.unique >= threshold
-
-let reorders m = m.reorders
-
-let reorder m ?(pinned = 0) ?(groups = []) ?(candidates = 32) roots =
-  (* Determine the variable universe: everything the manager has seen
-     plus everything mentioned by roots and groups. *)
-  let maxvar = ref (Array.length m.var_at - 1) in
-  let scan_var v = if v > !maxvar then maxvar := v in
-  List.iter (fun g -> List.iter scan_var g) groups;
-  let seen = Hashtbl.create 1024 in
-  let rec scan = function
-    | Zero | One -> ()
-    | Node { id; var; low; high } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        scan_var var;
-        scan low;
-        scan high
-      end
-  in
-  List.iter scan roots;
-  let nvars = !maxvar + 1 in
-  if nvars <= 0 then roots
-  else begin
-    (* Scratch graph export. *)
-    let s =
-      {
-        s_var = Array.make 1024 0;
-        s_low = Array.make 1024 0;
-        s_high = Array.make 1024 0;
-        s_refs = Array.make 1024 0;
-        s_n = 2;
-        s_tab = Array.init nvars (fun _ -> Hashtbl.create 64);
-        s_cnt = Array.make nvars 0;
-        s_total = 0;
-        s_lvl =
-          Array.init nvars (fun v ->
-              if v < Array.length m.level_of then m.level_of.(v) else v);
-        s_vat =
-          Array.init nvars (fun l ->
-              if l < Array.length m.var_at then m.var_at.(l) else l);
-      }
-    in
-    let export = Hashtbl.create 1024 in
-    let rec exp = function
-      | Zero -> 0
-      | One -> 1
-      | Node { id; var; low; high } ->
-        (match Hashtbl.find_opt export id with
-         | Some i -> i
-         | None ->
-           let l = exp low in
-           let h = exp high in
-           let i = s_mk s var l h in
-           Hashtbl.add export id i;
-           i)
-    in
-    let root_indices = List.map (fun r -> let i = exp r in s_incref s i; i) roots in
-    (* Group construction: supplied groups (validated to be
-       level-contiguous in the given order) plus singletons, ordered by
-       current level; pinned levels are excluded from sifting. *)
-    let in_group = Array.make nvars false in
-    let group_list = ref [] in
-    List.iter
-      (fun g ->
-         match g with
-         | [] -> ()
-         | first :: rest ->
-           let ok =
-             fst
-               (List.fold_left
-                  (fun (ok, prev) v ->
-                     (ok && s.s_lvl.(v) = prev + 1, s.s_lvl.(v)))
-                  (true, s.s_lvl.(first))
-                  rest)
-           in
-           if not ok then
-             invalid_arg "Bdd.reorder: group is not level-contiguous";
-           List.iter (fun v -> in_group.(v) <- true) g;
-           if s.s_lvl.(first) >= pinned then
-             group_list := Array.of_list g :: !group_list)
-      groups;
-    for v = 0 to nvars - 1 do
-      if (not in_group.(v)) && s.s_lvl.(v) >= pinned then
-        group_list := [| v |] :: !group_list
-    done;
-    let seq =
-      Array.of_list
-        (List.sort
-           (fun a b -> compare s.s_lvl.(a.(0)) s.s_lvl.(b.(0)))
-           !group_list)
-    in
-    (* Sift candidates: heaviest groups first. *)
-    let weight g = Array.fold_left (fun acc v -> acc + s.s_cnt.(v)) 0 g in
-    let sifted =
-      List.filter (fun g -> weight g > 0) (Array.to_list seq)
-    in
-    let sifted =
-      List.sort (fun a b -> compare (weight b) (weight a)) sifted
-    in
-    let sifted = List.filteri (fun i _ -> i < candidates) sifted in
-    List.iter
-      (fun g ->
-         (* The group's position may have shifted since the last sift. *)
-         let pos = ref (-1) in
-         Array.iteri (fun i g' -> if g' == g then pos := i) seq;
-         if !pos >= 0 then sift_group s seq !pos)
-      sifted;
-    (* Install the final order. *)
-    m.level_of <- Array.copy s.s_lvl;
-    m.var_at <- Array.copy s.s_vat;
-    (* Import bottom-up into a fresh unique table (this also collects
-       garbage: only live nodes survive). *)
-    Hashtbl.reset m.unique;
-    clear_caches m;
-    let live = ref [] in
-    for i = 2 to s.s_n - 1 do
-      if s.s_refs.(i) > 0 then live := i :: !live
-    done;
-    let live =
-      List.sort
-        (fun a b -> compare s.s_lvl.(s.s_var.(b)) s.s_lvl.(s.s_var.(a)))
-        !live
-    in
-    let imported = Array.make s.s_n Zero in
-    imported.(1) <- One;
-    List.iter
-      (fun i ->
-         imported.(i) <-
-           mk m s.s_var.(i) imported.(s.s_low.(i)) imported.(s.s_high.(i)))
-      live;
-    m.reorders <- m.reorders + 1;
-    incr reorders_total;
-    (match m.reorder_threshold with
-     | Some threshold ->
-       m.reorder_threshold <-
-         Some (max threshold (2 * Hashtbl.length m.unique))
-     | None -> ());
-    List.map (fun i -> imported.(i)) root_indices
-  end

@@ -1,16 +1,17 @@
 (** Reduced ordered binary decision diagrams with hash-consing.
 
-    Variables are non-negative integers; the variable order is the
-    numeric order (smaller index = closer to the root) until
-    {!reorder} installs a different permutation.  Nodes are
+    Variables are non-negative integers, and the variable order is the
+    numeric order (smaller index = closer to the root), fixed for the
+    life of the manager: a caller chooses the order by how it numbers
+    its variables.  Nodes are
     hash-consed inside a {!manager}, so structural equality of diagrams
     built in the same manager is physical equality of node identifiers
     ({!equal} is O(1)).
 
     The package is deliberately classical — unique table, ITE with a
-    direct-mapped computed table, quantification, relational product,
-    group-sifting reordering — and is the backend of the symbolic
-    synthesis engine. *)
+    direct-mapped computed table that grows with the node count,
+    quantification, relational product — and is the backend of the
+    symbolic synthesis engine. *)
 
 type manager
 type t
@@ -21,9 +22,6 @@ val manager : unit -> manager
 val node_count : manager -> int
 (** Number of hash-consed nodes in the unique table (diagnostics). *)
 
-val clear_caches : manager -> unit
-(** Drop operation caches (unique table is kept). *)
-
 (** {1 Diagnostics} *)
 
 type counters = {
@@ -31,7 +29,10 @@ type counters = {
   op_hits : int;    (** computed-table hits (ite, quantification,
                         relational product) *)
   op_misses : int;  (** computed-table misses *)
-  reorders : int;   (** dynamic reordering passes *)
+  reorders : int;
+      (** always 0, since the variable order is fixed.  The field stays
+          because perfbench's [bdd.reorders] metric reads it, and goes
+          at the next change to perfbench. *)
 }
 
 val counters : unit -> counters
@@ -72,10 +73,6 @@ val top_var : t -> int option
 val top : t -> int
 (** Root variable, [-1] for constants — allocation-free variant of
     {!top_var} for hot traversals. *)
-
-val level : manager -> int -> int
-(** Order position of a variable: smaller = closer to the root.  The
-    identity until {!reorder} installs a permutation. *)
 
 val low : t -> t
 val high : t -> t
@@ -123,8 +120,7 @@ val rename : manager -> (int * int) list -> t -> t
 
 val rename_monotone : manager -> (int * int) list -> t -> t
 (** Renaming by a single memoized traversal — fast, but only sound
-    when the mapping is strictly increasing along the variable order
-    on the diagram's support and no target variable occurs in the
+    when the mapping is strictly increasing on the diagram's support and no target variable occurs in the
     support.  Raises [Invalid_argument] when the mapping is not
     monotone; the support condition is the caller's responsibility.
     This is the workhorse for current-state/next-state swaps in
@@ -132,11 +128,11 @@ val rename_monotone : manager -> (int * int) list -> t -> t
 
 (** {1 Analysis} *)
 
-val support : manager -> t -> int list
-(** Variables the diagram depends on, in variable-order position
-    (root-most first). *)
+val support : t -> int list
+(** Variables the diagram depends on, in increasing order (root-most
+    first). *)
 
-val sat_count : manager -> t -> nvars:int -> float
+val sat_count : t -> nvars:int -> float
 (** Number of satisfying assignments over [nvars] variables
     ([0 .. nvars-1] all considered, whether or not in the support). *)
 
@@ -153,42 +149,3 @@ val size : t -> int
 
 val pp_dot : Format.formatter -> t -> unit
 (** Graphviz rendering (variables shown by index). *)
-
-(** {1 Dynamic variable reordering}
-
-    Nodes are immutable, so reordering cannot patch the live graph in
-    place the way mutable BDD packages do.  Instead {!reorder} sifts a
-    scratch copy of everything reachable from the supplied roots and
-    rebuilds it under the improved order, returning the translated
-    roots (in the same positions).  {b Every [t] of this manager not
-    passed as a root is invalid after the call} — callers must thread
-    their complete live set through.  The rebuild also collects
-    garbage: nodes unreachable from the roots are dropped from the
-    unique table. *)
-
-val set_reorder_threshold : manager -> int option -> unit
-(** Unique-table size at which {!reorder_due} starts reporting [true];
-    [None] (the default) disables the trigger.  After a reordering the
-    threshold is doubled from the surviving live size, so the trigger
-    fires on growth, not on every subsequent operation. *)
-
-val reorder_due : manager -> bool
-(** Whether the unique table has outgrown the configured threshold. *)
-
-val reorder :
-  manager ->
-  ?pinned:int -> ?groups:int list list -> ?candidates:int ->
-  t list -> t list
-(** [reorder m ~pinned ~groups roots] runs one pass of Rudell group
-    sifting over the [candidates] heaviest groups (default 32) and
-    returns the roots rebuilt under the new order.
-    [pinned] keeps the top [pinned] order positions fixed (used to keep
-    input variables root-most so strategy extraction can cofactor on
-    them); [groups] lists variables that must stay adjacent, in their
-    current relative order — e.g. interleaved current/next state pairs
-    whose adjacency monotone renaming relies on.  Raises
-    [Invalid_argument] if a group is not contiguous in the current
-    order. *)
-
-val reorders : manager -> int
-(** Reordering passes performed by this manager. *)

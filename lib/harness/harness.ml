@@ -274,9 +274,29 @@ let backoff config ~key i =
   Float.min config.backoff_cap
     (config.backoff_base *. (2. ** float_of_int i) *. jitter_factor ~key i)
 
+(* A sentence that does not parse fails every attempt alike, so it is
+   answered as invalid input, which is never retried.  The pipeline
+   raises only the parser's message; the recovering front end, run again
+   on this path alone, gives the line. *)
+let unparsable config document message =
+  let _, _, diagnostics =
+    Speccc_translate.Translate.specification_recover
+      config.options.Pipeline.translate
+      (List.map
+         (fun item -> (item.Document.line, item.Document.text))
+         document)
+  in
+  match diagnostics with
+  | (_, diag) :: _ ->
+    Runtime.invalid_input ~stage:"parse" ~line:diag.Speccc_nlp.Parser.diag_line
+      diag.Speccc_nlp.Parser.diag_message
+  | [] -> Runtime.invalid_input ~stage:"parse" message
+
 let check_once config document =
   Runtime.guard ~stage:"harness" (fun () ->
-      Pipeline.run_document ~options:config.options document)
+      try Pipeline.run_document ~options:config.options document
+      with Speccc_nlp.Parser.Error message ->
+        raise (Runtime.Interrupt (unparsable config document message)))
 
 (* Retrying a cancelled run is pointless — the token stays tripped, so
    every further attempt dies at its first budget poll (and a watchdog
@@ -366,6 +386,7 @@ let supervise_fresh config (key, document) =
             Realizability.canonical_degradation outcome.Pipeline.report;
           progress = (match verdict with Unknown -> partial () | _ -> None);
         }
+      | Error (Runtime.Invalid_input _ as error) -> failed (i + 1) error
       | Error error ->
         if externally_cancelled config then failed (i + 1) error
         else attempt (i + 1) error

@@ -11,8 +11,11 @@
     [Failed] if every attempt dies.  Fuel exhaustion is not such a
     failure: the engine ladder
     ({!Speccc_synthesis.Realizability.check}) absorbs it and answers,
-    so only a failure outside the ladder (a parser crash, a raising
-    fault checkpoint) is retried.
+    so only a failure outside the ladder (a crash, a raising fault
+    checkpoint) is retried.  A sentence that does not parse is not
+    retried either: it fails every attempt alike, so it is recorded
+    as [Failed] after one attempt, with a detail naming its line and
+    the parser's message ([parse: line N: ...]).
 
     {2 Journal format}
 

@@ -486,8 +486,7 @@ let health_response pool id =
       Jsonl.Obj
         [ ("nodes", num c.Speccc_bdd.Bdd.nodes);
           ("op_hits", num c.Speccc_bdd.Bdd.op_hits);
-          ("op_misses", num c.Speccc_bdd.Bdd.op_misses);
-          ("reorders", num c.Speccc_bdd.Bdd.reorders) ] )
+          ("op_misses", num c.Speccc_bdd.Bdd.op_misses) ] )
   in
   let store_fields =
     match pool.config.store with

@@ -433,8 +433,7 @@ let probe_response router p =
         ("saved_snapshots", num (count "saved_snapshots")) ]
   in
   (* same fleet-wide aggregation for the BDD backend: total node
-     allocations, memo-cache hits and reordering passes across all
-     workers *)
+     allocations and memo-cache hits across all workers *)
   let bdd_totals =
     let count field =
       List.fold_left
@@ -450,8 +449,7 @@ let probe_response router p =
     in
     Jsonl.Obj
       [ ("nodes", num (count "nodes"));
-        ("op_hits", num (count "op_hits"));
-        ("reorders", num (count "reorders")) ]
+        ("op_hits", num (count "op_hits")) ]
   in
   let shards_json =
     List.map

@@ -19,8 +19,11 @@ type verdict =
   | Realizable of strategy
   | Unrealizable
 
-(* Variable layout: inputs, then outputs, then interleaved
-   (z_j, z'_j) pairs. *)
+(* Variable layout, which is also the BDD variable order (a manager
+   keeps its order fixed): inputs, then outputs, then interleaved
+   (z_j, z'_j) pairs.  Inputs sit root-most so strategy extraction can
+   cofactor on them first, and each z'_j sits right below its z_j so
+   the current-to-next renaming is monotone. *)
 let z_var ~num_props j = num_props + (2 * j)
 let z_next_var ~num_props j = num_props + (2 * j) + 1
 
@@ -86,16 +89,6 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
      governs every BDD built below — including the strategy object's
      later steps, which reuse the manager but do bounded work. *)
   Bdd.set_budget manager budget;
-  (* Reordering trigger: once the unique table outgrows this, the
-     fixpoint reorders at the next round boundary.  Runs with finite
-     fuel never reorder (sifting would perturb fuel accounting). *)
-  (match
-     match Sys.getenv_opt "SPECCC_BDD_REORDER" with
-     | Some raw -> int_of_string_opt raw
-     | None -> Some 150_000
-   with
-   | Some 0 | None -> ()
-   | Some threshold -> Bdd.set_reorder_threshold manager (Some threshold));
   let props = inputs @ outputs in
   let num_props = List.length props in
   let prop_var =
@@ -159,7 +152,7 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
     is_next_var v || (v >= num_inputs && v < num_props)
   in
   let max_quantifiable = z_next_var ~num_props (num_obligations - 1) in
-  (* z and z' interleave (z_j immediately below z'_j), so the
+  (* z and z' interleave (z'_j immediately below z_j), so the
      current→next renaming is order-preserving and runs in one
      traversal. *)
   let rename_to_next w =
@@ -170,31 +163,29 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
   in
   (* Controllable predecessor ∀ inputs ∃ outputs, next obligations, by
      bucket elimination over the partitioned relation (as in symbolic
-     model checkers): every diagram waits in the bucket of its top
-     quantifiable variable — the highest index among its outputs and
-     next-state bits — and the loop walks the buckets by decreasing
+     model checkers): the loop walks the buckets by decreasing variable
      index, eliminating each variable with one relational product
      ([Bdd.and_exists]) over its bucket, so independent requirement
      clusters stay factored and no monolithic relation is built.
 
-     Placement invariant: a diagram sits at or above its top
-     quantifiable variable, never below.  Above is sound — ∃v (A ∧ B)
-     = (∃v A) ∧ B when v ∉ supp B — but below, the diagram would miss
-     the bucket of a variable it still mentions, that variable would
-     never be quantified, and the fixpoint would converge on a region
-     no strategy can stay in.  Buckets go by index, the order the loop
-     walks, not by level, which a reorder decouples from the index.
+     Placement invariant: a diagram waits in bucket b only if b is at
+     least the highest index among its quantifiable variables (outputs
+     and next-state bits).  A higher bucket is sound — ∃v (A ∧ B) =
+     (∃v A) ∧ B when v ∉ supp B — but in a lower one the diagram would
+     miss the bucket of a variable it still mentions, that variable
+     would never be quantified, and the fixpoint would converge on a
+     region no strategy can stay in.
 
      Each diagram carries a tracked quantifiable support, highest index
      first, whose head is its bucket.  The fixed conjuncts [z_j → V_j]
      and the round's target get theirs from one exact [Bdd.support]; a
      bucket's result gets the union of its inputs' tracked supports
      minus the eliminated variable.  That union is a superset of the
-     result's true support, so its head is at or above the true top
-     variable, and it lies below the bucket being eliminated. *)
+     result's true support, so its head is at least the true highest
+     variable, and it is lower than the bucket being eliminated. *)
   let quantifiable_support bdd =
     List.sort (fun a b -> compare b a)
-      (List.filter is_quantifiable (Bdd.support manager bdd))
+      (List.filter is_quantifiable (Bdd.support bdd))
   in
   let rec union a b =
     match a, b with
@@ -212,8 +203,8 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
       | [] -> residual := bdd :: !residual
   in
   (* The conjuncts do not change between rounds, so their placement is
-     computed once per solve and again after each reorder. *)
-  let place_fixed conjuncts =
+     computed once per solve. *)
+  let fixed_buckets, fixed_residual =
     let buckets = Array.make (max_quantifiable + 1) [] in
     let residual = ref [] in
     List.iter
@@ -228,7 +219,7 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
     | (bdd, _) :: rest -> eliminate v (Bdd.and_ manager acc bdd) rest
     | [] -> acc
   in
-  let cpre (fixed_buckets, fixed_residual) w =
+  let cpre w =
     let target = rename_to_next w in
     let buckets = Array.copy fixed_buckets in
     let residual = ref fixed_residual in
@@ -244,41 +235,7 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
     done;
     Bdd.forall manager input_vars (Bdd.and_list manager !residual)
   in
-  let z_groups =
-    List.init num_obligations (fun j ->
-        [ z_var ~num_props j; z_next_var ~num_props j ])
-  in
-  (* Round-boundary reordering: every BDD that survives across rounds
-     (partitioned transition relation, progressions, the current
-     winning approximation) is threaded through the sift; inputs stay
-     pinned root-most and each (z_j, z'_j) pair stays glued so the
-     current-to-next renaming stays monotone.  The rebuilt conjuncts are
-     placed afresh. *)
-  let maybe_reorder ((conjuncts, _) as relation) w =
-    let unlimited_fuel =
-      match budget with
-      | None -> true
-      | Some b -> Speccc_runtime.Budget.remaining b = None
-    in
-    if unlimited_fuel && Bdd.reorder_due manager then begin
-      let roots = w :: (conjuncts @ Array.to_list progression_bdds) in
-      match
-        Bdd.reorder manager ~pinned:num_inputs ~groups:z_groups roots
-      with
-      | w' :: rest ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: tl -> take (n - 1) (x :: acc) tl
-        in
-        let conjuncts', progs = take (List.length conjuncts) [] rest in
-        List.iteri (fun j p -> progression_bdds.(j) <- p) progs;
-        ((conjuncts', place_fixed conjuncts'), w')
-      | [] -> (relation, w)
-    end
-    else (relation, w)
-  in
-  let rec fixpoint ((_, fixed) as relation) w rounds =
+  let rec fixpoint w rounds =
     Speccc_runtime.Fault.hit Speccc_runtime.Fault.Checkpoint.bdd_fixpoint;
     (match budget with
      | Some budget ->
@@ -294,15 +251,10 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
         | None -> ());
        Speccc_runtime.Budget.checkpoint budget ~stage:"symbolic"
      | None -> ());
-    let w' = Bdd.and_ manager w (cpre fixed w) in
-    if Bdd.equal w w' then (w, rounds)
-    else
-      let relation, w' = maybe_reorder relation w' in
-      fixpoint relation w' (rounds + 1)
+    let w' = Bdd.and_ manager w (cpre w) in
+    if Bdd.equal w w' then (w, rounds) else fixpoint w' (rounds + 1)
   in
-  let winning, rounds =
-    fixpoint (conjuncts, place_fixed conjuncts) (Bdd.one manager) 1
-  in
+  let winning, rounds = fixpoint (Bdd.one manager) 1 in
   let initial_indices = List.map index_of roots in
   let initial_assignment =
     List.init num_obligations (fun j ->
@@ -371,15 +323,15 @@ let to_mealy ?(max_states = 4096) strategy =
       (* Should not happen from a winning state; fail loudly. *)
       invalid_arg "Obligation.to_mealy: no move from winning state"
     in
-    (* Active factor cells: (obligation, root var, root level, diagram),
-       lists sorted by root level so the variable to branch on is always
+    (* Active factor cells: (obligation, root var, diagram), lists
+       sorted by root variable so the variable to branch on is always
        the head's root and cofactoring touches only the head run. *)
-    let cell j d = (j, Bdd.top d, Bdd.level manager (Bdd.top d), d) in
-    let rec insert ((_, _, l, _) as c) list =
+    let cell j d = (j, Bdd.top d, d) in
+    let rec insert ((_, v, _) as c) list =
       match list with
       | [] -> [ c ]
-      | ((_, _, l', _) as c') :: rest ->
-        if l <= l' then c :: list else c' :: insert c rest
+      | ((_, v', _) as c') :: rest ->
+        if v <= v' then c :: list else c' :: insert c rest
     in
     (* Shared input phase: cofactor the whole factor family by every
        input cube.  Leaves are deduplicated — an input no factor
@@ -392,20 +344,20 @@ let to_mealy ?(max_states = 4096) strategy =
     let () =
       let family =
         List.filter
-          (fun (_, _, _, d) -> not (Bdd.is_one d))
+          (fun (_, _, d) -> not (Bdd.is_one d))
           (cell (-1) strategy.winning_next
           :: List.init num_obligations (fun j -> cell j strategy.progression.(j)))
       in
-      if List.exists (fun (_, _, _, d) -> Bdd.is_zero d) family then lose ();
+      if List.exists (fun (_, _, d) -> Bdd.is_zero d) family then lose ();
       let family =
-        List.sort (fun (_, _, l, _) (_, _, l', _) -> compare l l') family
+        List.sort (fun (_, v, _) (_, v', _) -> compare v v') family
       in
       let rec build active dead fixed_mask fixed_value =
         match active with
-        | (_, v, _, _) :: _ when v < num_inputs ->
+        | (_, v, _) :: _ when v < num_inputs ->
           let rec split run rest =
             match rest with
-            | ((_, v', _, _) as c) :: tail when v' = v ->
+            | ((_, v', _) as c) :: tail when v' = v ->
               split (c :: run) tail
             | _ -> (run, rest)
           in
@@ -413,7 +365,7 @@ let to_mealy ?(max_states = 4096) strategy =
           let branch b =
             let active, dead =
               List.fold_left
-                (fun (active, dead) (j, _, _, d) ->
+                (fun (active, dead) (j, _, d) ->
                    let c = if b then Bdd.high d else Bdd.low d in
                    if Bdd.is_zero c then (active, j :: dead)
                    else if Bdd.is_one c then (active, dead)
@@ -460,11 +412,11 @@ let to_mealy ?(max_states = 4096) strategy =
     let exception Bail in
     (* Fast path for the next-obligation tail: variables there occur
        purely positively (progressions never negate them), so the high
-       path of each factor is a satisfying assignment — no search.
-       Bails if a letter variable shows up inside a next-rooted factor
-       (possible only after exotic reorders), if a variable was already
-       branched to false, or if positivity is ever violated; the caller
-       then falls back to the exact conjunction. *)
+       path of each factor is a satisfying assignment — no search.  A
+       next-rooted factor mentions no letter variable, since letters
+       precede next-obligation variables in the order.  Bails if a
+       variable was already branched to false, or if positivity is ever
+       violated; the caller then falls back to the exact conjunction. *)
     (* A bail aborts the whole search ([Exit] → exact fallback), and
        the fallback starts a fresh mark epoch, so marks set before the
        bail need no undoing. *)
@@ -475,7 +427,6 @@ let to_mealy ?(max_states = 4096) strategy =
              let rec follow d =
                let v = Bdd.top d in
                if v < 0 then (if Bdd.is_zero d then raise Bail)
-               else if v < num_props then raise Bail
                else if mark_epoch.(v) = !epoch then
                  if mark_val.(v) then follow (Bdd.high d) else raise Bail
                else begin
@@ -496,7 +447,7 @@ let to_mealy ?(max_states = 4096) strategy =
     (* Backtracking search below the input prefix.  The active factors
        are split: [letters] holds the factors rooted at output
        variables (few — most factors lose their letter part to the
-       input cofactor), sorted by root level and branched high first,
+       input cofactor), sorted by root variable and branched high first,
        the same preference [Bdd.any_sat] has; [zs] holds the factors
        rooted at next-obligation variables, which are never branched —
        once the letters are gone they are solved in one pass by
@@ -507,11 +458,11 @@ let to_mealy ?(max_states = 4096) strategy =
       decr steps;
       match letters with
       | [] -> try_pure_next zs
-      | (_, v, _, _) :: _ ->
+      | (_, v, _) :: _ ->
         let branch b =
           let rec cofactor list zs_acc =
             match list with
-            | (j, v', _, d) :: rest when v' = v ->
+            | (j, v', d) :: rest when v' = v ->
               let c = if b then Bdd.high d else Bdd.low d in
               if Bdd.is_zero c then None
               else begin
@@ -549,7 +500,7 @@ let to_mealy ?(max_states = 4096) strategy =
       let zs = ref [] in
       let rec split = function
         | [] -> []
-        | ((j, v, _, d) as c) :: rest ->
+        | ((j, v, d) as c) :: rest ->
           if j >= 0 && not state.(j) then split rest
           else if v >= num_props then begin
             zs := d :: !zs;
@@ -568,7 +519,7 @@ let to_mealy ?(max_states = 4096) strategy =
              Bdd.any_sat
                (Bdd.and_list manager
                   (List.filter_map
-                     (fun (j, _, _, d) ->
+                     (fun (j, _, d) ->
                         if j < 0 || state.(j) then Some d else None)
                      cells))
            with

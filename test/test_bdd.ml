@@ -108,7 +108,7 @@ let test_rename_monotone () =
   Alcotest.(check bool) "monotone rename agrees with compose-rename" true
     (Bdd.equal fast slow);
   Alcotest.(check (list int)) "support shifted" [ 1; 3; 5 ]
-    (Bdd.support m fast);
+    (Bdd.support fast);
   (* a non-monotone mapping is rejected *)
   (match Bdd.rename_monotone m [ (0, 5); (2, 3) ] f with
    | exception Invalid_argument _ -> ()
@@ -137,12 +137,12 @@ let prop_rename_monotone_matches_rename =
 let test_support_satcount () =
   let m = Bdd.manager () in
   let f = Bdd.or_ m (Bdd.var m 0) (Bdd.var m 3) in
-  Alcotest.(check (list int)) "support" [ 0; 3 ] (Bdd.support m f);
+  Alcotest.(check (list int)) "support" [ 0; 3 ] (Bdd.support f);
   Alcotest.(check (float 0.0)) "sat_count over 4 vars" 12.0
-    (Bdd.sat_count m f ~nvars:4);
+    (Bdd.sat_count f ~nvars:4);
   Alcotest.(check (float 0.0)) "one over 3 vars" 8.0
-    (Bdd.sat_count m (Bdd.one m) ~nvars:3);
-  Alcotest.(check (float 0.0)) "zero" 0.0 (Bdd.sat_count m (Bdd.zero m) ~nvars:3)
+    (Bdd.sat_count (Bdd.one m) ~nvars:3);
+  Alcotest.(check (float 0.0)) "zero" 0.0 (Bdd.sat_count (Bdd.zero m) ~nvars:3)
 
 let test_any_sat () =
   let m = Bdd.manager () in
@@ -176,7 +176,7 @@ let prop_satcount_matches =
           List.length
             (List.filter (fun a -> eval_expr a e) (all_assignments nvars))
         in
-        int_of_float (Bdd.sat_count m d ~nvars) = expected)
+        int_of_float (Bdd.sat_count d ~nvars) = expected)
 
 let prop_exists_is_disjunction =
   QCheck2.Test.make ~count:200 ~name:"exists v. f = f[v:=0] || f[v:=1]"
@@ -210,27 +210,18 @@ let prop_canonical =
 (* The relational product against its two-step definition, in the same
    manager (so equality is node identity).  Operands range over 8
    variables; the quantified set draws from 0..9, so it may be empty
-   or name variables outside both supports; half the cases run on a
-   manager that has just been reordered, where levels and indices
-   disagree.  Two variable sets run on the same operands, each asked
-   once per operand order, so answers come from the computed table and
-   must not leak from one set to the other. *)
+   or name variables outside both supports.  Two variable sets run on
+   the same operands, each asked once per operand order, so answers
+   come from the computed table and must not leak from one set to the
+   other. *)
 let prop_and_exists_is_exists_of_and =
   let vars = QCheck2.Gen.(list_size (int_range 0 4) (int_range 0 9)) in
   QCheck2.Test.make ~count:400 ~name:"and_exists vs f g = exists vs (f && g)"
     QCheck2.Gen.(
-      quad (expr_gen_over 8) (expr_gen_over 8)
-        (pair vars vars) bool)
-    (fun (e1, e2, (vs1, vs2), reordered) ->
+      triple (expr_gen_over 8) (expr_gen_over 8) (pair vars vars))
+    (fun (e1, e2, (vs1, vs2)) ->
        let m = Bdd.manager () in
        let f = build m e1 and g = build m e2 in
-       let f, g =
-         if reordered then
-           match Bdd.reorder m [ f; g ] with
-           | [ f; g ] -> (f, g)
-           | _ -> assert false
-         else (f, g)
-       in
        List.for_all
          (fun vs ->
             let expected = Bdd.exists m vs (Bdd.and_ m f g) in
@@ -238,53 +229,75 @@ let prop_and_exists_is_exists_of_and =
             && Bdd.equal (Bdd.and_exists m vs g f) expected)
          [ vs1; vs2 ])
 
-(* Reordering drill: sifting must preserve semantics exactly, and the
-   rebuilt manager must stay canonical — rebuilding the same function
-   after the reorder has to produce the translated root itself. *)
-let prop_reorder_preserves_semantics =
-  QCheck2.Test.make ~count:200 ~name:"reorder preserves semantics"
-    QCheck2.Gen.(pair expr_gen expr_gen)
-    (fun (e1, e2) ->
-       let m = Bdd.manager () in
-       let d1 = build m e1 and d2 = build m e2 in
-       match Bdd.reorder m ~groups:[ [ 1; 2 ] ] [ d1; d2 ] with
-       | [ r1; r2 ] ->
-         List.for_all
-           (fun a ->
-              Bdd.eval r1 a = eval_expr a e1
-              && Bdd.eval r2 a = eval_expr a e2)
-           (all_assignments nvars)
-         && Bdd.equal (build m e1) r1
-         && Bdd.equal (build m e2) r2
-       | _ -> false)
+(* The computed tables start at 256 entries and double, dropping every
+   cached entry, when the manager creates a node while the next node id
+   is 4 x 256 = 1024; ids start at 2, so that is the node created with
+   1022 nodes already in the unique table.  Here the manager is padded
+   with single-variable nodes on indices from 3000 up, which no operand
+   mentions, to just short of that point, so the operation under test
+   usually crosses it mid-recursion.  Each result is compared with its
+   two-step definition in the same manager and with the truth table of
+   the source expressions over 10 variables.  [crossed] counts the
+   operations that did cross, so the test can check that the growth
+   path was exercised at all. *)
+let growth_count = (4 * 256) - 2
+let wide = 10
+let crossed = ref 0
 
-let test_reorder_pinned_and_counters () =
-  let m = Bdd.manager () in
-  Bdd.set_reorder_threshold m (Some 1);
-  (* A function whose optimal order differs from the identity order:
-     pairwise comparisons x_i <-> y_i built with all x's above all
-     y's. *)
-  let n = 6 in
-  let f =
-    let parts =
-      List.init n (fun i -> Bdd.eqv m (Bdd.var m i) (Bdd.var m (n + i)))
-    in
-    Bdd.and_list m parts
-  in
-  let before = Bdd.size f in
-  Alcotest.(check bool) "trigger due" true (Bdd.reorder_due m);
-  (match Bdd.reorder m ~pinned:1 [ f ] with
-   | [ f' ] ->
-     Alcotest.(check bool) "variable 0 stays root-most" true
-       (match Bdd.top_var f' with Some 0 -> true | _ -> false);
-     Alcotest.(check bool) "sifting shrinks the comparator" true
-       (Bdd.size f' < before);
-     Alcotest.(check int) "one reorder recorded" 1 (Bdd.reorders m);
-     let all = all_assignments (2 * n) in
-     let reference a = List.for_all (fun i -> a i = a (n + i)) (List.init n Fun.id) in
-     Alcotest.(check bool) "same function" true
-       (List.for_all (fun a -> Bdd.eval f' a = reference a) all)
-   | _ -> Alcotest.fail "root list shape")
+let pad_to m target =
+  let v = ref 3000 in
+  while Bdd.node_count m < target do
+    ignore (Bdd.var m !v);
+    incr v
+  done
+
+let prop_ops_across_table_growth =
+  let vars = QCheck2.Gen.(list_size (int_range 0 4) (int_range 0 (wide - 1))) in
+  QCheck2.Test.make ~count:150
+    ~name:"ite and and_exists across computed-table growth"
+    QCheck2.Gen.(
+      quad
+        (triple (expr_gen_over wide) (expr_gen_over wide) (expr_gen_over wide))
+        vars (int_range 1 8) bool)
+    (fun ((e1, e2, e3), vs, slack, use_and_exists) ->
+       let m = Bdd.manager () in
+       let f = build m e1 and g = build m e2 and h = build m e3 in
+       pad_to m (growth_count + 1 - slack);
+       let before = Bdd.node_count m in
+       let result =
+         if use_and_exists then Bdd.and_exists m vs f g else Bdd.ite m f g h
+       in
+       if before <= growth_count && Bdd.node_count m > growth_count then
+         incr crossed;
+       let definition =
+         if use_and_exists then Bdd.exists m vs (Bdd.and_ m f g)
+         else Bdd.or_ m (Bdd.and_ m f g) (Bdd.and_ m (Bdd.not_ m f) h)
+       in
+       let vs = List.sort_uniq compare vs in
+       let reference a =
+         if use_and_exists then
+           List.exists
+             (fun choice ->
+                let a' v =
+                  match List.find_index (( = ) v) vs with
+                  | Some k -> choice land (1 lsl k) <> 0
+                  | None -> a v
+                in
+                eval_expr a' e1 && eval_expr a' e2)
+             (List.init (1 lsl List.length vs) Fun.id)
+         else if eval_expr a e1 then eval_expr a e2
+         else eval_expr a e3
+       in
+       Bdd.equal result definition
+       && List.for_all
+            (fun a -> Bdd.eval result a = reference a)
+            (all_assignments wide))
+
+(* About half of the 150 cases cross (slack 1..8 against results of a
+   few to a few dozen nodes); a fifth is far below any seed's draw. *)
+let test_growth_exercised () =
+  Alcotest.(check bool) "a fifth of the operations crossed the growth point"
+    true (!crossed >= 30)
 
 let () =
   Alcotest.run "bdd"
@@ -309,11 +322,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_and_exists_is_exists_of_and;
           QCheck_alcotest.to_alcotest prop_canonical;
           QCheck_alcotest.to_alcotest prop_rename_monotone_matches_rename;
-          QCheck_alcotest.to_alcotest prop_reorder_preserves_semantics;
         ] );
-      ( "reordering",
+      ( "growth",
         [
-          Alcotest.test_case "pinned sift + counters" `Quick
-            test_reorder_pinned_and_counters;
+          QCheck_alcotest.to_alcotest prop_ops_across_table_growth;
+          Alcotest.test_case "growth exercised" `Quick test_growth_exercised;
         ] );
     ]

@@ -82,10 +82,26 @@ let test_recover_rescues_partial_garbage () =
 
 (* ---------- retries and backoff ---------- *)
 
+let cara_1 () =
+  let module Cara = Speccc_casestudies.Cara in
+  match List.find_opt (fun c -> c.Cara.row = "1") Cara.components with
+  | Some c -> doc (Cara.component_sentences c)
+  | None -> Alcotest.fail "no CARA:1 component"
+
+(* CARA:1 is timed, so every attempt announces [timeabs.solve] once,
+   before synthesis; one trigger per hit fails all four attempts. *)
 let test_retry_schedule () =
   let sleeps = ref [] in
   let config = test_config ~retries:3 ~sleeps () in
-  let summary = Harness.run config [ ("bad", garbage_doc) ] in
+  let fail_every_attempt =
+    List.init 4 (fun after ->
+        { Fault.checkpoint = Fault.Checkpoint.timeabs_solve; after;
+          action = Fault.Fail "injected" })
+  in
+  let summary =
+    with_faults fail_every_attempt (fun () ->
+        Harness.run config [ ("bad", cara_1 ()) ])
+  in
   (match summary.Harness.results with
    | [ { Harness.verdict = Harness.Failed _; attempts; _ } ] ->
      Alcotest.(check int) "all attempts used" 4 attempts
@@ -106,6 +122,27 @@ let test_retry_schedule () =
          (slept >= nominal && slept < nominal *. 1.5))
     (List.rev !sleeps)
 
+(* A sentence that does not parse fails every attempt alike: the
+   document is answered after one attempt, with no backoff sleep, and
+   the detail names the line and the parser's message. *)
+let test_parse_failure_answered_once () =
+  let sleeps = ref [] in
+  let config = test_config ~sleeps () in
+  let mixed =
+    doc
+      [ "If the start button is pressed, the pump is started.";
+        "The frobnicator zorps quickly." ]
+  in
+  let result = Harness.check_one config "mixed" mixed in
+  Alcotest.(check bool) "failed" true
+    (match result.Harness.verdict with Harness.Failed _ -> true | _ -> false);
+  Alcotest.(check int) "one attempt" 1 result.Harness.attempts;
+  Alcotest.(check int) "no backoff sleep" 0 (List.length !sleeps);
+  Alcotest.(check string) "located detail"
+    "parse: line 2: no predicate found in clause \"the frobnicator zorps \
+     quickly\""
+    result.Harness.detail
+
 let test_unreadable_file_is_failed () =
   let summary =
     Harness.run_files (test_config ()) [ "/nonexistent/doc.spec" ]
@@ -118,12 +155,7 @@ let test_unreadable_file_is_failed () =
    clean run does. *)
 let test_harness_keeps_the_budget () =
   let module Realizability = Speccc_synthesis.Realizability in
-  let module Cara = Speccc_casestudies.Cara in
-  let cara_1 =
-    match List.find_opt (fun c -> c.Cara.row = "1") Cara.components with
-    | Some c -> doc (Cara.component_sentences c)
-    | None -> Alcotest.fail "no CARA:1 component"
-  in
+  let cara_1 = cara_1 () in
   let fail_once =
     { Fault.checkpoint = Fault.Checkpoint.timeabs_solve; after = 0;
       action = Fault.Fail "injected" }
@@ -712,6 +744,8 @@ let () =
         [
           Alcotest.test_case "bounded exponential backoff" `Quick
             test_retry_schedule;
+          Alcotest.test_case "parse failure answered once" `Quick
+            test_parse_failure_answered_once;
           Alcotest.test_case "unreadable file" `Quick
             test_unreadable_file_is_failed;
           Alcotest.test_case "every attempt keeps the caller's budget"

@@ -166,26 +166,18 @@ let test_symbolic_many_props () =
   in
   Alcotest.(check bool) "16-prop spec realizable" true (is_consistent report)
 
-let test_symbolic_sound_after_reorder () =
-  (* A node threshold of 1 sifts the BDD order at the first round
-     boundary.  The controllable predecessor must quantify the same
-     variables whatever the order: when it did not, this three-robot
-     scenario converged on a region the strategy cannot stay in, and
-     extraction failed a few steps in. *)
+let test_symbolic_robot_3x3_witness () =
+  (* Three robots in three rooms, forced onto the symbolic engine with a
+     witness.  The controllable predecessor must quantify every output
+     and next-state variable: when one was skipped, this scenario
+     converged on a region the strategy cannot stay in, and extraction
+     failed a few steps in. *)
   let scenario = Speccc_casestudies.Robot.scenario ~robots:3 ~rooms:3 in
-  let previous = Sys.getenv_opt "SPECCC_BDD_REORDER" in
-  Unix.putenv "SPECCC_BDD_REORDER" "1";
   let report =
-    Fun.protect
-      ~finally:(fun () ->
-        (* 150000 is the documented default threshold *)
-        Unix.putenv "SPECCC_BDD_REORDER"
-          (Option.value previous ~default:"150000"))
-      (fun () ->
-         Realizability.check ~engine:Realizability.Symbolic ~witness:true
-           ~inputs:scenario.Speccc_casestudies.Robot.inputs
-           ~outputs:scenario.Speccc_casestudies.Robot.outputs
-           scenario.Speccc_casestudies.Robot.formulas)
+    Realizability.check ~engine:Realizability.Symbolic ~witness:true
+      ~inputs:scenario.Speccc_casestudies.Robot.inputs
+      ~outputs:scenario.Speccc_casestudies.Robot.outputs
+      scenario.Speccc_casestudies.Robot.formulas
   in
   Alcotest.(check bool) "realizable" true (is_consistent report);
   match report.Realizability.controller with
@@ -860,8 +852,8 @@ let () =
             test_symbolic_lookahead_escalation;
           Alcotest.test_case "16 propositions" `Quick
             test_symbolic_many_props;
-          Alcotest.test_case "sound after reorder" `Quick
-            test_symbolic_sound_after_reorder;
+          Alcotest.test_case "robot 3x3 with witness" `Quick
+            test_symbolic_robot_3x3_witness;
           Alcotest.test_case "fixpoint pins" `Quick test_fixpoint_pins;
         ] );
       ( "agreement",
