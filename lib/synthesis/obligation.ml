@@ -178,11 +178,12 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
 
      Each diagram carries a tracked quantifiable support, highest index
      first, whose head is its bucket.  The fixed conjuncts [z_j → V_j]
-     and the round's target get theirs from one exact [Bdd.support]; a
-     bucket's result gets the union of its inputs' tracked supports
-     minus the eliminated variable.  That union is a superset of the
-     result's true support, so its head is at least the true highest
-     variable, and it is lower than the bucket being eliminated. *)
+     and what remains of the round's target once its cube is peeled
+     (below) get theirs from one exact [Bdd.support]; a bucket's
+     result gets the union of its inputs' tracked supports minus the
+     eliminated variable.  That union is a superset of the result's
+     true support, so its head is at least the true highest variable,
+     and it is lower than the bucket being eliminated. *)
   let quantifiable_support bdd =
     List.sort (fun a b -> compare b a)
       (List.filter is_quantifiable (Bdd.support bdd))
@@ -219,11 +220,31 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
     | (bdd, _) :: rest -> eliminate v (Bdd.and_ manager acc bdd) rest
     | [] -> acc
   in
+  (* The target's root path may be a cube: a node with a [Zero] child
+     forces its variable.  The target ranges over next-state bits only,
+     so each forced literal is on some z'_j and mentions exactly one
+     quantifiable variable; it is placed alone in bucket z'_j, which
+     keeps the placement invariant, and the walk continues down the
+     other child.  Placed whole, the cube of an X^k chain's target
+     would sit in its top bucket and be conjoined into every bucket
+     below it; peeled, each literal meets only its own bucket's
+     conjunct.  The literals conjoined with the remainder are the
+     target, so the predecessor is unchanged. *)
+  let rec place_target buckets residual t =
+    match Bdd.top_var t with
+    | Some v when Bdd.is_zero (Bdd.low t) ->
+      place buckets residual (Bdd.var manager v, [ v ]);
+      place_target buckets residual (Bdd.high t)
+    | Some v when Bdd.is_zero (Bdd.high t) ->
+      place buckets residual (Bdd.nvar manager v, [ v ]);
+      place_target buckets residual (Bdd.low t)
+    | _ -> place buckets residual (t, quantifiable_support t)
+  in
   let cpre w =
     let target = rename_to_next w in
     let buckets = Array.copy fixed_buckets in
     let residual = ref fixed_residual in
-    place buckets residual (target, quantifiable_support target);
+    place_target buckets residual target;
     for v = max_quantifiable downto 0 do
       match buckets.(v) with
       | [] -> ()

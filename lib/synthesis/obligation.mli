@@ -48,8 +48,12 @@ val solve :
 
 val to_mealy : ?max_states:int -> strategy -> Mealy.t option
 (** Enumerate the reachable strategy states into an explicit Mealy
-    machine; [None] if more than [max_states] (default 4096) states or
-    more than 2^20 (state, input) pairs would be needed. *)
+    machine; [None] if the strategy has more than 20 inputs or more
+    than [max_states] (default 4096) reachable states.  The table holds
+    2^inputs entries per state, and the number of (state, input) pairs
+    is not capped: at 20 inputs and [max_states] states that is 2^32
+    entries, so a wide strategy can exhaust memory before either
+    limit returns [None]. *)
 
 val stats : strategy -> string
 (** One-line diagnostic: obligation bits, BDD nodes, fixpoint rounds. *)

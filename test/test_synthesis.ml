@@ -188,13 +188,13 @@ let test_symbolic_robot_3x3_witness () =
          (Ltl.conj_list scenario.Speccc_casestudies.Robot.formulas)
          ~trials:20 ~seed:42)
 
-(* Fixpoint pins: verdict, [Obligation.stats] and (for CARA:0) the
-   nodes a check creates, on the documents whose fixpoint runs most
-   rounds or holds most obligations.  How the controllable predecessor
-   places and eliminates its buckets decides which intermediate nodes
-   get built, never the winning region — a canonical BDD under an
-   unchanged order — so rounds and winning nodes stay fixed while the
-   node count records the work. *)
+(* Fixpoint pins: verdict, [Obligation.stats] and (for CARA:0 and the
+   bare X^120 chain) the nodes a check creates, on the problems whose
+   fixpoint runs most rounds or holds most obligations.  How the
+   controllable predecessor places and eliminates its buckets decides
+   which intermediate nodes get built, never the winning region — a
+   canonical BDD under an unchanged order — so rounds and winning
+   nodes stay fixed while the node count records the work. *)
 let pipeline_problem texts =
   let outcome = Speccc_core.Pipeline.run texts in
   let partition =
@@ -216,7 +216,17 @@ let fixpoint_pins =
     ( "CARA:0",
       (fun () -> pipeline_problem Cara.working_mode_texts),
       "obligations=125 winning_nodes=62 rounds=61",
-      Some 50_000 );
+      Some 10_000 );
+    ( "X^120 chain",
+      (fun () ->
+         ( [ Ltl.always
+               (Ltl.implies
+                  (Ltl.next_n 120 (Ltl.neg (Ltl.prop "i")))
+                  (Ltl.prop "o")) ],
+           [ "i" ],
+           [ "o" ] )),
+      "obligations=121 winning_nodes=122 rounds=121",
+      Some 30_000 );
     ( "CARA:3.2",
       (fun () ->
          pipeline_problem
@@ -279,8 +289,20 @@ let fragment_gen =
         map2 Ltl.weak_until base input_literal;
       ]
   in
-  let requirement =
+  let response_to_guard =
     map2 (fun g r -> Ltl.always (Ltl.implies g r)) guard response
+  in
+  (* A future guard [G (X^k i -> o)]: the translator's shape for a
+     timing constraint whose delay sits before the condition (CARA's
+     R16 reads [G (X^60 !blood_pressure -> trigger_manual_mode)]).  Its
+     symbolic targets have a cube on their root path. *)
+  let future_guard =
+    map3
+      (fun k g r -> Ltl.always (Ltl.implies (Ltl.next_n k g) r))
+      (int_range 1 4) input_literal output_literal
+  in
+  let requirement =
+    frequency [ (3, response_to_guard); (1, future_guard) ]
   in
   list_size (int_range 1 3) requirement
 
