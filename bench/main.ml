@@ -175,12 +175,11 @@ let fig1 () =
 
 let fig2 () =
   Format.printf "@.== Figure 2: syntax tree of Req-17 ==@.@.";
-  let lexicon = Speccc_nlp.Lexicon.default () in
   let text =
     "When auto-control mode is entered, eventually the cuff will be \
      inflated."
   in
-  let tree = Speccc_nlp.Parser.sentence lexicon text in
+  let tree = Speccc_nlp.Parser.sentence text in
   Format.printf "%a@." Speccc_nlp.Syntax.pp_sentence tree
 
 (* ---------- ablations ---------- *)
@@ -254,7 +253,6 @@ let ablation_semantic () =
   in
   let without, with_reasoning =
     Speccc_reasoning.Semantic.reduction_count
-      config.Speccc_translate.Translate.dictionary
       result.Speccc_translate.Translate.relations
   in
   Format.printf "adjective/adverb occurrences (subject, word):    %4d@."

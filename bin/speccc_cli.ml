@@ -180,8 +180,7 @@ let tree_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
   in
   let run text =
-    let lexicon = Speccc_nlp.Lexicon.default () in
-    let tree = Speccc_nlp.Parser.sentence lexicon text in
+    let tree = Speccc_nlp.Parser.sentence text in
     Format.printf "%a@." Speccc_nlp.Syntax.pp_sentence tree
   in
   Cmd.v

@@ -7,13 +7,12 @@
 open Speccc_nlp
 
 let () =
-  let lexicon = Lexicon.default () in
   let text =
     "When auto-control mode is entered, eventually the cuff will be \
      inflated."
   in
   Format.printf "sentence: %s@.@." text;
-  let tree = Parser.sentence lexicon text in
+  let tree = Parser.sentence text in
   Format.printf "%a@.@." Syntax.pp_sentence tree;
 
   (* The two atomic propositions of the paper's walkthrough. *)
@@ -27,7 +26,7 @@ let () =
 
   (* Dependency extraction on a requirement with antonym candidates. *)
   let sentences =
-    List.map (Parser.sentence lexicon)
+    List.map Parser.sentence
       [
         "If pulse wave or arterial line is available, and cuff is \
          selected, corroboration is triggered.";

@@ -33,6 +33,22 @@ let rec to_core f =
 
 (* --- GPVW tableau --- *)
 
+(* Completed nodes are unique on (old, next), so a table keyed by the
+   sorted formula ids of both sets finds the one merge target without
+   scanning every completed node.  The hash folds over every id:
+   [Hashtbl.hash] reads only the first few ids of each list, so sets
+   sharing their smallest ids would collide and each lookup would
+   compare whole lists. *)
+module Sets_key = struct
+  type t = int list * int list
+  let equal (a, b) (c, d) = List.equal Int.equal a c && List.equal Int.equal b d
+  let hash (a, b) =
+    let fold h ids = List.fold_left (fun h id -> (h * 33) + id) h ids in
+    fold (fold 5381 a * 31) b land max_int
+end
+
+module Sets_table = Hashtbl.Make (Sets_key)
+
 type node = {
   id : int;
   mutable incoming : int list;  (* -1 stands for the init pseudo-state *)
@@ -56,10 +72,7 @@ let build_tableau ?budget formula =
     incr counter; !counter
   in
   let completed : node list ref = ref [] in
-  (* Completed nodes are unique on (old, next), so a table keyed by the
-     sorted formula ids of both sets finds the one merge target without
-     scanning every completed node. *)
-  let by_sets = Hashtbl.create 64 in
+  let by_sets = Sets_table.create 64 in
   let sets_key node =
     let ids set =
       List.sort Int.compare (List.map Ltl.id (Ltl.Set.elements set))
@@ -72,10 +85,10 @@ let build_tableau ?budget formula =
       (* Node fully processed: merge with an equivalent completed node
          or record it and start its successor. *)
       let key = sets_key node in
-      (match Hashtbl.find_opt by_sets key with
+      (match Sets_table.find_opt by_sets key with
        | Some other -> other.incoming <- node.incoming @ other.incoming
        | None ->
-         Hashtbl.add by_sets key node;
+         Sets_table.add by_sets key node;
          completed := node :: !completed;
          let successor = {
            id = fresh_id ();
@@ -558,11 +571,6 @@ let find_word auto =
   try_accepting 0
 
 let is_empty auto = find_word auto = None
-
-let size_report auto =
-  Printf.sprintf "states=%d transitions=%d atoms=%d" auto.num_states
-    (List.length auto.transitions)
-    (List.length auto.atoms)
 
 let pp_dot ppf auto =
   Format.fprintf ppf "digraph nbw {@\n";

@@ -58,7 +58,4 @@ val find_word : t -> Speccc_logic.Trace.t option
 
 val is_empty : t -> bool
 
-val size_report : t -> string
-(** One-line diagnostic summary. *)
-
 val pp_dot : Format.formatter -> t -> unit

@@ -23,14 +23,11 @@ type abstraction = {
   arity : int;        (** number of distinct atoms = template slots *)
   canonical : Speccc_logic.Ltl.t;
       (** the formula with atom [k] (first-occurrence order) replaced
-          by {!slot_name}[ k]; interned, so its id keys the compiled
-          shape *)
+          by the slot atom [__slot]k; interned, so its id keys the
+          compiled shape *)
   mapping : (string * string) list;
       (** slot name → concrete atom, a bijection *)
 }
-
-val slot_name : int -> string
-(** Canonical atom for slot [k]. *)
 
 val abstract : Speccc_logic.Ltl.t -> abstraction option
 (** The formula's template shape, or [None] when the formula matches

@@ -89,7 +89,6 @@ let manager () =
   }
 
 let set_budget m budget = m.budget <- budget
-let has_budget m = m.budget <> None
 
 let node_count m = Hashtbl.length m.unique
 
@@ -224,10 +223,8 @@ let and_ m f g = ite m f g Zero
 let or_ m f g = ite m f One g
 let xor m f g = ite m f (not_ m g) g
 let imp m f g = ite m f g One
-let eqv m f g = ite m f g (not_ m g)
 
 let and_list m fs = List.fold_left (and_ m) One fs
-let or_list m fs = List.fold_left (or_ m) Zero fs
 
 (* Quantification over a variable list (processed root-most first).
    The computed table is keyed by a stable token per variable set, so

@@ -39,9 +39,6 @@ val counters : unit -> counters
 (** Process-wide cumulative counters, for [--stats] and health
     reports. *)
 
-val has_budget : manager -> bool
-(** Whether a governor budget is currently installed. *)
-
 val set_budget : manager -> Speccc_runtime.Budget.t option -> unit
 (** Govern this manager: every subsequent node construction spends one
     fuel unit of the budget (stage ["bdd"]), so runaway
@@ -87,9 +84,7 @@ val and_ : manager -> t -> t -> t
 val or_ : manager -> t -> t -> t
 val xor : manager -> t -> t -> t
 val imp : manager -> t -> t -> t
-val eqv : manager -> t -> t -> t
 val and_list : manager -> t list -> t
-val or_list : manager -> t list -> t
 
 (** {1 Quantification and substitution} *)
 

@@ -115,12 +115,6 @@ module Int_key = struct
   let hash = Hashtbl.hash
 end
 
-module Int_list_key = struct
-  type t = int list
-  let equal = List.equal Int.equal
-  let hash = Hashtbl.hash
-end
-
 module String_key = struct
   type t = string
   let equal = String.equal

@@ -61,9 +61,6 @@ end
 module Int_key : KEY with type t = int
 (** Formula ids ({!val:Speccc_logic.Ltl.id}) and small packed keys. *)
 
-module Int_list_key : KEY with type t = int list
-(** Sorted id-sets, e.g. conjunction sets in [Localize]. *)
-
 module String_key : KEY with type t = string
 (** Textual keys, e.g. requirement sentences in the parse cache. *)
 

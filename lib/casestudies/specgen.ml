@@ -15,10 +15,6 @@ let actuator_name profile k = Printf.sprintf "%s_unit_%d" profile.prefix k
 
 let actuator_verb k = verbs.(k mod Array.length verbs)
 
-let actuator_prop profile k =
-  let _, lemma = actuator_verb k in
-  lemma ^ "_" ^ actuator_name profile k
-
 let validate profile =
   if profile.lines < 1 || profile.inputs < 1 || profile.outputs < 1 then
     invalid_arg "Specgen.sentences: counts must be positive";

@@ -27,6 +27,4 @@ val sentences : profile -> string list
     [outputs > 2 * lines]). *)
 
 val sensor_name : profile -> int -> string
-val actuator_prop : profile -> int -> string
-(** The proposition the [k]-th actuator's response produces (verb
-    included), for tests that need to predict the partition. *)
+

@@ -144,9 +144,9 @@ let check_formulas ?options ?partition ?explicit_session ?(assumptions = [])
    surviving items, so downstream stages stay aligned with the
    translation), and without it the first one is raised as
    {!Speccc_nlp.Parser.sentence} raises it. *)
-let translate_document options ?parse_cache document =
+let translate_document options document =
   let translation, kept, diagnostics =
-    Translate.specification_recover ?parse_cache options.translate
+    Translate.specification_recover options.translate
       (List.map (fun item -> (item.Document.line, item.Document.text)) document)
   in
   match diagnostics with
@@ -160,13 +160,13 @@ let translate_document options ?parse_cache document =
         (fun (index, diag) -> (Document.id_at document index, diag))
         diagnostics )
 
-let run_document ?options ?parse_cache ?explicit_session document =
+let run_document ?options ?explicit_session document =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
   let (translation, document, diagnostics), translation_s =
     Speccc_runtime.Runtime.timed (fun () ->
-        translate_document options ?parse_cache document)
+        translate_document options document)
   in
   let raw_formulas =
     List.map (fun r -> r.Translate.formula) translation.Translate.requirements

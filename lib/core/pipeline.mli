@@ -125,7 +125,6 @@ val run : ?options:options -> string list -> outcome
 
 val run_document :
   ?options:options ->
-  ?parse_cache:Speccc_translate.Translate.parse_cache ->
   ?explicit_session:Speccc_synthesis.Bounded.session ->
   Document.t ->
   outcome
@@ -137,12 +136,17 @@ val run_document :
     space.  [outcome.formulas] lists every formula in document
     order.
 
-    [parse_cache] and [explicit_session] are caches the caller owns
-    across calls ({!Watch} keeps one of each per session): sentence
-    parses, and the explicit engine's arena blocks and solo frontiers.
-    Verdicts and witnesses are the same with or without them.  A hit
-    on a solo frontier charges no fuel, so a caller that wants fuel
-    accounting independent of earlier calls passes no session. *)
+    Sentences are parsed through the translator's domain-local parse
+    cache ({!Speccc_translate.Translate.specification_recover}), so
+    every call, governed or not, reuses the parses of sentences the
+    domain has seen before; a parse tree is a function of the
+    sentence text, so this never changes a translation and costs no
+    fuel.  [explicit_session] is a cache the caller owns across calls
+    ({!Watch} keeps one per session): the explicit engine's arena
+    blocks and solo frontiers.  Verdicts and witnesses are the same
+    with or without it.  A hit on a solo frontier charges no fuel, so
+    a caller that wants fuel accounting independent of earlier calls
+    passes no session. *)
 
 val check_formulas :
   ?options:options ->

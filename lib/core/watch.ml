@@ -1,5 +1,4 @@
 open Speccc_logic
-open Speccc_translate
 open Speccc_partition
 open Speccc_synthesis
 
@@ -34,7 +33,6 @@ type counters = {
 type session = {
   options : Pipeline.options;
   mutable doc : Document.t;
-  parse : Translate.parse_cache;
   engine : Bounded.session;
   loc_memo : Localize.memo;
   verdicts : (Pipeline.outcome * Localize.result option) Verdict_lru.t;
@@ -57,7 +55,6 @@ let create ?options doc =
   {
     options;
     doc;
-    parse = Translate.parse_cache ();
     engine = Bounded.create_session ();
     loc_memo = Localize.memo ();
     verdicts =
@@ -190,13 +187,12 @@ let invalidate session (outcome : Pipeline.outcome) =
 
 let run session ~cached =
   let options = session.options in
-  let parse_cache = if cached then Some session.parse else None in
   let explicit_session = if cached then Some session.engine else None in
   let memo = if cached then Some session.loc_memo else None in
   let parse_hits0 = cache_hits "nlp.parse" in
   let engine0 = Bounded.session_stats session.engine in
   let outcome =
-    Pipeline.run_document ~options ?parse_cache ?explicit_session session.doc
+    Pipeline.run_document ~options ?explicit_session session.doc
   in
   let invalidated = if cached then invalidate session outcome else 0 in
   let localization =

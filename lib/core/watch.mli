@@ -4,8 +4,9 @@
     A {!session} pins one {!Pipeline.options} value to one evolving
     {!Document.t} and re-checks only what an edit actually changed:
 
-    - sentence parses are cached per sentence text (the [nlp.parse]
-      LRU), so unedited sentences are never re-parsed;
+    - sentence parses come from the translator's domain-local
+      [nlp.parse] LRU, keyed by sentence text, so unedited sentences
+      are not re-parsed;
     - the explicit engine's arena blocks and solo winning frontiers
       are cached per hash-consed formula id
       ({!Speccc_synthesis.Bounded.session}), so after a one-sentence
@@ -32,7 +33,7 @@
     see {!fingerprint}) to {!check_cold} on the same document.
 
     A check is one {!Pipeline.run_document} call handed the session's
-    parse cache and engine session, then, for an [Inconsistent]
+    engine session, then, for an [Inconsistent]
     verdict, {!Refine.localize} with the same engine session and the
     session's memo: the pipeline owns translation, time abstraction,
     partitioning, the engine ladder with its lint step, [recover] and
@@ -45,7 +46,9 @@
     [skip_engines]/[snapshot], or memory pressure) make the same call
     without any session cache: a cached solo frontier costs no fuel,
     and fuel charged against a budget must not depend on what earlier
-    checks solved. *)
+    checks solved.  Their sentences are still parsed through the
+    [nlp.parse] LRU, which every {!Pipeline.run_document} call shares:
+    parsing charges no fuel, so a reused tree cannot move a budget. *)
 
 type session
 

@@ -3,7 +3,7 @@
     Everything here draws exclusively from {!Prng}, so a seed fully
     determines the case sequence.  Documents are built from sentence
     templates that stay inside the structured-English grammar
-    ([docs/GRAMMAR.md]) and the default lexicon, so generated specs
+    ([docs/GRAMMAR.md]) and the built-in lexicon, so generated specs
     exercise the {e real} NLP front end rather than a mock; LTL
     alphabets are kept small enough (≤ 5 propositions) that the
     explicit engine and the lasso-enumeration reference
@@ -25,7 +25,7 @@ val ltl_spec : Prng.t -> Case.ltl_spec
 
 val doc : Prng.t -> string list
 (** Random structured-English document (2–4 sentences) over the
-    default lexicon's subjects, verbs and absorbing adjective pairs.
+    built-in lexicon's subjects, verbs and absorbing adjective pairs.
     Every template has been validated to parse and translate. *)
 
 val timeabs_case : Prng.t -> Case.t

@@ -8,6 +8,7 @@ module Partition = Speccc_partition.Partition
 module Timeabs = Speccc_timeabs.Timeabs
 module Translate = Speccc_translate.Translate
 module Parser = Speccc_nlp.Parser
+module Cache = Speccc_cache.Cache
 
 type divergence = {
   oracle : string;
@@ -299,8 +300,18 @@ let doc_oracles sentences =
     let formulas =
       List.map (fun r -> r.Translate.formula) result.Translate.requirements
     in
+    (* The second pass runs with every cache disabled, so it parses
+       and translates each sentence afresh: a translation that hangs on
+       hidden state (the parse cache included) shows as a divergence. *)
     let determinism =
-      let again = Translate.specification config sentences in
+      let again =
+        let was = Cache.enabled () in
+        Fun.protect
+          ~finally:(fun () -> Cache.set_enabled was)
+          (fun () ->
+             Cache.set_enabled false;
+             Translate.specification config sentences)
+      in
       let formulas' =
         List.map (fun r -> r.Translate.formula) again.Translate.requirements
       in

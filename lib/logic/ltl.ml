@@ -102,7 +102,6 @@ let hashcons formula = intern formula
 
 let equal_fast f g = f == g || id f = id g
 let compare_fast f g = if f == g then 0 else Int.compare (id f) (id g)
-let hash_fast = id
 
 let hashcons_stats () =
   let u = unique () in
@@ -262,8 +261,6 @@ let rec map_props subst = function
   | Weak_until (f, g) -> weak_until (map_props subst f) (map_props subst g)
   | Release (f, g) -> release (map_props subst f) (map_props subst g)
 
-let rename_props rename = map_props (fun p -> prop (rename p))
-
 module Self = struct
   type nonrec t = t
 
@@ -295,10 +292,3 @@ let subformulas formula =
   visit formula;
   List.rev !order
 
-let rec is_propositional = function
-  | True | False | Prop _ -> true
-  | Not f -> is_propositional f
-  | And (f, g) | Or (f, g) | Implies (f, g) | Iff (f, g) ->
-    is_propositional f && is_propositional g
-  | Next _ | Eventually _ | Always _ | Until _ | Weak_until _ | Release _ ->
-    false

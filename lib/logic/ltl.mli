@@ -85,9 +85,6 @@ val compare_fast : t -> t -> int
 (** A total order consistent with {!equal}, by id — cheap, but
     domain-dependent; see the warning above. *)
 
-val hash_fast : t -> int
-(** The id, which is a perfect hash within a domain. *)
-
 type hashcons_stats = { nodes : int; hc_hits : int; hc_misses : int }
 
 val hashcons_stats : unit -> hashcons_stats
@@ -117,14 +114,9 @@ val next_chains : t -> int list
 val map_props : (string -> t) -> t -> t
 (** Substitute every proposition by a formula. *)
 
-val rename_props : (string -> string) -> t -> t
-
 val subformulas : t -> t list
 (** All distinct subformulas, in bottom-up order (operands before
     operators). *)
-
-val is_propositional : t -> bool
-(** True when the formula contains no temporal operator. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -14,10 +14,6 @@ type part_of_speech =
   | Number of int
   | Unknown
 
-type t = {
-  table : (string, part_of_speech list) Hashtbl.t;
-}
-
 let closed_classes = [
   (Modal, [ "shall"; "should"; "will"; "would"; "can"; "could"; "must";
             "may"; "might" ]);
@@ -111,7 +107,9 @@ let number_words = [
   ("six", 6); ("seven", 7); ("eight", 8); ("nine", 9); ("ten", 10);
 ]
 
-let default () =
+(* Built once and never mutated, so every domain reads it without a
+   lock. *)
+let table =
   let table = Hashtbl.create 1024 in
   let register pos word =
     let existing =
@@ -126,33 +124,17 @@ let default () =
   List.iter (register Verb) verbs;
   List.iter (register Adjective) adjectives;
   List.iter (register Adverb) adverbs;
-  { table }
+  table
 
-let add lexicon word pos =
-  let word = String.lowercase_ascii word in
-  let existing =
-    match Hashtbl.find_opt lexicon.table word with Some l -> l | None -> []
-  in
-  Hashtbl.replace lexicon.table word (pos :: List.filter (( <> ) pos) existing)
-
-let lookup lexicon word =
+let lookup word =
   let word = String.lowercase_ascii word in
   if is_numeral word then [ Number (int_of_string word) ]
   else
     match List.assoc_opt word number_words with
     | Some n -> [ Number n ]
     | None ->
-      (match Hashtbl.find_opt lexicon.table word with
+      (match Hashtbl.find_opt table word with
        | Some classes -> classes
        | None -> [ Unknown ])
 
-let has_class lexicon word pos = List.mem pos (lookup lexicon word)
-
-let words_with lexicon pos =
-  Hashtbl.fold
-    (fun word classes acc -> if List.mem pos classes then word :: acc else acc)
-    lexicon.table []
-  |> List.sort compare
-
-let known_verbs lexicon = words_with lexicon Verb
-let known_adjectives lexicon = words_with lexicon Adjective
+let has_class word pos = List.mem pos (lookup word)

@@ -4,9 +4,9 @@
     Closed word classes (modals, subordinators, modifiers,
     conjunctions, determiners, copulas, prepositions, negations) are
     fixed by the paper's grammar.  Open classes (nouns, verbs,
-    adjectives, adverbs) ship with the vocabulary of the three case
-    studies and can be extended at runtime — the analogue of feeding
-    the Stanford parser a domain model. *)
+    adjectives, adverbs) hold the vocabulary of the three case
+    studies — the analogue of feeding the Stanford parser a domain
+    model. *)
 
 type part_of_speech =
   | Noun
@@ -24,20 +24,13 @@ type part_of_speech =
   | Number of int
   | Unknown
 
-type t
+(** There is one lexicon, built in: the closed classes and the
+    case-study vocabulary.  Nothing mutates it after construction, so
+    every domain reads it without a lock. *)
 
-val default : unit -> t
-(** Fresh lexicon preloaded with the case-study vocabulary. *)
-
-val add : t -> string -> part_of_speech -> unit
-(** Teach one word.  Later additions take priority over built-ins. *)
-
-val lookup : t -> string -> part_of_speech list
+val lookup : string -> part_of_speech list
 (** All classes a (lowercase) word belongs to, most specific first;
     [[Unknown]] if the word is not known.  Numerals return
     [Number n]. *)
 
-val has_class : t -> string -> part_of_speech -> bool
-
-val known_verbs : t -> string list
-val known_adjectives : t -> string list
+val has_class : string -> part_of_speech -> bool

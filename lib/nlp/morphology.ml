@@ -55,26 +55,21 @@ let candidate_lemmas word =
   if ends_with "s" word then push Third_singular (strip 1 word);
   List.rev !candidates
 
-let analyze_verb lexicon word =
+let analyze_verb word =
   let word = String.lowercase_ascii word in
   match List.assoc_opt word irregular with
   | Some (lemma, form) -> Some (lemma, form)
   | None ->
-    if Lexicon.has_class lexicon word Lexicon.Verb then Some (word, Base)
+    if Lexicon.has_class word Lexicon.Verb then Some (word, Base)
     else
       List.find_map
         (fun (lemma, form) ->
-           if Lexicon.has_class lexicon lemma Lexicon.Verb then
+           if Lexicon.has_class lemma Lexicon.Verb then
              Some (lemma, form)
            else None)
         (candidate_lemmas word)
 
-let lemma lexicon word =
-  match analyze_verb lexicon word with
+let lemma word =
+  match analyze_verb word with
   | Some (lemma, _) -> lemma
   | None -> String.lowercase_ascii word
-
-let is_participle lexicon word =
-  match analyze_verb lexicon word with
-  | Some (_, (Past | Past_participle | Present_participle)) -> true
-  | Some (_, (Base | Third_singular)) | None -> false

@@ -13,12 +13,9 @@ type verb_form =
   | Past_participle     (** entered, lost *)
   | Present_participle  (** entering *)
 
-val analyze_verb : Lexicon.t -> string -> (string * verb_form) option
-(** [analyze_verb lexicon word] = [Some (lemma, form)] when the word is
+val analyze_verb : string -> (string * verb_form) option
+(** [analyze_verb word] = [Some (lemma, form)] when the word is
     (an inflection of) a known verb. *)
 
-val lemma : Lexicon.t -> string -> string
+val lemma : string -> string
 (** Verb lemma if recognizable, otherwise the word itself. *)
-
-val is_participle : Lexicon.t -> string -> bool
-(** Is the word a past or present participle of a known verb? *)

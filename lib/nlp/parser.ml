@@ -64,18 +64,18 @@ type segment = {
   seg_words : string list;  (* in order *)
 }
 
-let is_subordinator lexicon word =
-  word <> "next" && Lexicon.has_class lexicon word Lexicon.Subordinator
+let is_subordinator word =
+  word <> "next" && Lexicon.has_class word Lexicon.Subordinator
 
-let is_conjunction lexicon word =
-  Lexicon.has_class lexicon word Lexicon.Conjunction
+let is_conjunction word =
+  Lexicon.has_class word Lexicon.Conjunction
 
 (* Any subordinator may open a trailing subordinate clause without a
    preceding comma ("... is enabled until it is pressed", "... will be
    operational whenever the LSTAT is powered on"). *)
 let mid_segment_subordinator _word = true
 
-let segment_tokens lexicon tokens =
+let segment_tokens tokens =
   let close segments sub words =
     match words with
     | [] -> segments
@@ -86,22 +86,22 @@ let segment_tokens lexicon tokens =
     | [] -> List.rev (close segments sub words)
     | Tokenizer.Period :: rest -> walk segments sub words rest
     | Tokenizer.Comma :: Tokenizer.Word w :: rest
-      when is_conjunction lexicon w ->
+      when is_conjunction w ->
       (* ", and" continues the current clause group *)
       walk segments sub (w :: words) rest
     | Tokenizer.Comma :: rest ->
       (* end of segment; a following subordinator opens the next one *)
       let segments = close segments sub words in
       (match rest with
-       | Tokenizer.Word w :: rest' when is_subordinator lexicon w ->
+       | Tokenizer.Word w :: rest' when is_subordinator w ->
          walk segments (Some w) [] rest'
        | _ -> walk segments None [] rest)
     | Tokenizer.Word w :: rest when words = [] && sub = None
-                                 && is_subordinator lexicon w ->
+                                 && is_subordinator w ->
       walk segments (Some w) [] rest
     | Tokenizer.Word w :: rest when words <> []
                                  && mid_segment_subordinator w
-                                 && is_subordinator lexicon w ->
+                                 && is_subordinator w ->
       let segments = close segments sub words in
       walk segments (Some w) [] rest
     | Tokenizer.Word w :: rest -> walk segments sub (w :: words) rest
@@ -116,46 +116,46 @@ let filter_words =
 
 let is_filter word = List.mem word filter_words
 
-let is_modifier lexicon word =
-  Lexicon.has_class lexicon word Lexicon.Modifier || word = "next"
+let is_modifier word =
+  Lexicon.has_class word Lexicon.Modifier || word = "next"
 
-let is_copula lexicon word = Lexicon.has_class lexicon word Lexicon.Copula
-let is_modal lexicon word = Lexicon.has_class lexicon word Lexicon.Modal
-let is_negation lexicon word = Lexicon.has_class lexicon word Lexicon.Negation
+let is_copula word = Lexicon.has_class word Lexicon.Copula
+let is_modal word = Lexicon.has_class word Lexicon.Modal
+let is_negation word = Lexicon.has_class word Lexicon.Negation
 
 (* Index of the first word that can start the predicate. *)
-let find_predicate_start lexicon words =
+let find_predicate_start words =
   let arr = Array.of_list words in
   let n = Array.length arr in
   let rec search i subject_seen =
     if i >= n then None
     else
       let w = arr.(i) in
-      if is_copula lexicon w || is_modal lexicon w || w = "cannot" then Some i
+      if is_copula w || is_modal w || w = "cannot" then Some i
       else if
-        (match Morphology.analyze_verb lexicon w with
+        (match Morphology.analyze_verb w with
          | Some (_, Morphology.Third_singular) ->
            (* unambiguous finite form; may even open a clause whose
               subject is inherited ("... and triggers an alarm") *)
-           not (Lexicon.has_class lexicon w Lexicon.Noun)
+           not (Lexicon.has_class w Lexicon.Noun)
          | Some (_, Morphology.Base) ->
-           subject_seen && not (Lexicon.has_class lexicon w Lexicon.Noun)
+           subject_seen && not (Lexicon.has_class w Lexicon.Noun)
          | Some (_, Morphology.Past) ->
-           subject_seen && not (Lexicon.has_class lexicon w Lexicon.Adjective)
+           subject_seen && not (Lexicon.has_class w Lexicon.Adjective)
          | Some (_, (Morphology.Past_participle | Morphology.Present_participle))
          | None -> false)
       then Some i
       else
         let counts_as_subject =
           (not (is_filter w))
-          && (not (is_modifier lexicon w))
-          && not (is_negation lexicon w)
+          && (not (is_modifier w))
+          && not (is_negation w)
         in
         search (i + 1) (subject_seen || counts_as_subject)
   in
   search 0 false
 
-let parse_subject lexicon words =
+let parse_subject words =
   let substantives = ref [] in
   let current = ref [] in
   let conj = ref Syntax.And in
@@ -168,11 +168,11 @@ let parse_subject lexicon words =
   in
   List.iter
     (fun w ->
-       if is_conjunction lexicon w then begin
+       if is_conjunction w then begin
          if w = "or" then conj := Syntax.Or;
          flush ()
        end
-       else if is_filter w || is_modifier lexicon w then ()
+       else if is_filter w || is_modifier w then ()
        else current := w :: !current)
     words;
   flush ();
@@ -185,7 +185,7 @@ let particles = [ "on"; "off"; "in"; "out"; "up"; "down" ]
    bound, an optional modifier discovered inside the predicate, and
    the unconsumed words (starting with a conjunction when another
    clause follows). *)
-let parse_predicate lexicon words =
+let parse_predicate words =
   let modality = ref None in
   let negated = ref false in
   let passive = ref false in
@@ -198,19 +198,19 @@ let parse_predicate lexicon words =
       modality := Some "can";
       negated := not !negated;
       head rest
-    | w :: rest when is_modal lexicon w ->
+    | w :: rest when is_modal w ->
       if !modality = None then modality := Some w;
       head rest
-    | w :: rest when is_negation lexicon w ->
+    | w :: rest when is_negation w ->
       negated := not !negated;
       head rest
-    | w :: rest when is_modifier lexicon w ->
+    | w :: rest when is_modifier w ->
       modifier := Some w;
       head rest
-    | w :: rest when is_copula lexicon w ->
+    | w :: rest when is_copula w ->
       copula_content rest
     | w :: rest ->
-      (match Morphology.analyze_verb lexicon w with
+      (match Morphology.analyze_verb w with
        | Some (lemma, _) ->
          verb := Some lemma;
          rest
@@ -219,18 +219,18 @@ let parse_predicate lexicon words =
     | [] ->
       (* bare copula: "the system is" — incomplete *)
       fail "copula without content"
-    | w :: rest when is_negation lexicon w ->
+    | w :: rest when is_negation w ->
       negated := not !negated;
       copula_content rest
-    | w :: rest when is_modifier lexicon w ->
+    | w :: rest when is_modifier w ->
       modifier := Some w;
       copula_content rest
-    | w :: rest when is_copula lexicon w ->
+    | w :: rest when is_copula w ->
       (* "will be inflated": second copula *)
       copula_content rest
     | w :: rest ->
       let participle =
-        match Morphology.analyze_verb lexicon w with
+        match Morphology.analyze_verb w with
         | Some (lemma, (Morphology.Past | Morphology.Past_participle
                        | Morphology.Present_participle)) ->
           Some lemma
@@ -238,8 +238,8 @@ let parse_predicate lexicon words =
           None
       in
       let adjective =
-        Lexicon.has_class lexicon w Lexicon.Adjective
-        || Lexicon.has_class lexicon w Lexicon.Adverb
+        Lexicon.has_class w Lexicon.Adjective
+        || Lexicon.has_class w Lexicon.Adverb
       in
       (match participle, adjective with
        | Some lemma, false ->
@@ -252,7 +252,7 @@ let parse_predicate lexicon words =
           | p :: rest'
             when List.mem p particles
                  && (rest' = []
-                     || is_conjunction lexicon (List.hd rest')) ->
+                     || is_conjunction (List.hd rest')) ->
             rest'
           | _ -> rest)
        | _, true ->
@@ -271,12 +271,12 @@ let parse_predicate lexicon words =
   let time_bound = ref None in
   let rec tail = function
     | [] -> []
-    | w :: rest when is_conjunction lexicon w -> w :: rest
+    | w :: rest when is_conjunction w -> w :: rest
     | ("in" | "within") :: t :: rest
-      when (match Lexicon.lookup lexicon t with
+      when (match Lexicon.lookup t with
             | Lexicon.Number _ :: _ -> true
             | _ -> false) ->
-      (match Lexicon.lookup lexicon t with
+      (match Lexicon.lookup t with
        | Lexicon.Number n :: _ -> time_bound := Some n
        | _ -> ());
       (match rest with
@@ -284,11 +284,11 @@ let parse_predicate lexicon words =
          :: rest' ->
          tail rest'
        | _ -> tail rest)
-    | w :: rest when is_modifier lexicon w ->
+    | w :: rest when is_modifier w ->
       modifier := Some w;
       tail rest
     | w :: rest ->
-      if not (is_filter w || Lexicon.has_class lexicon w Lexicon.Preposition)
+      if not (is_filter w || Lexicon.has_class w Lexicon.Preposition)
       then objects := w :: !objects;
       tail rest
   in
@@ -307,17 +307,17 @@ let parse_predicate lexicon words =
   in
   (predicate, !time_bound, !modifier, remaining)
 
-let parse_clause lexicon previous_subject words =
+let parse_clause previous_subject words =
   (* leading modifier(s) *)
   let modifier = ref None in
   let rec strip_modifiers = function
-    | w :: rest when is_modifier lexicon w ->
+    | w :: rest when is_modifier w ->
       modifier := Some w;
       strip_modifiers rest
     | words -> words
   in
   let words = strip_modifiers words in
-  match find_predicate_start lexicon words with
+  match find_predicate_start words with
   | None -> fail_at words "no predicate found in clause %S" (String.concat " " words)
   | Some idx ->
     let subject_words = List.filteri (fun i _ -> i < idx) words in
@@ -330,7 +330,7 @@ let parse_clause lexicon previous_subject words =
       | ("never" | "not") :: rest -> (List.rev rest, true)
       | _ -> (subject_words, false)
     in
-    let subject = parse_subject lexicon subject_words in
+    let subject = parse_subject subject_words in
     let subject =
       if subject.Syntax.nouns = [] then
         match previous_subject with
@@ -340,7 +340,7 @@ let parse_clause lexicon previous_subject words =
       else subject
     in
     let predicate, time_bound, inner_modifier, remaining =
-      parse_predicate lexicon rest_words
+      parse_predicate rest_words
     in
     let predicate =
       if pre_negated then
@@ -354,14 +354,14 @@ let parse_clause lexicon previous_subject words =
     in
     ({ Syntax.modifier; subject; predicate; time_bound }, remaining)
 
-let parse_clause_group lexicon words =
+let parse_clause_group words =
   let rec go previous_subject acc conjs words =
-    let clause, remaining = parse_clause lexicon previous_subject words in
+    let clause, remaining = parse_clause previous_subject words in
     let acc = clause :: acc in
     match remaining with
     | [] ->
       { Syntax.clauses = List.rev acc; clause_conjs = List.rev conjs }
-    | conj_word :: rest when is_conjunction lexicon conj_word ->
+    | conj_word :: rest when is_conjunction conj_word ->
       let conj = if conj_word = "or" then Syntax.Or else Syntax.And in
       go (Some clause.Syntax.subject) acc (conj :: conjs) rest
     | w :: _ -> fail_at [ w ] "unexpected word %S after clause" w
@@ -370,14 +370,14 @@ let parse_clause_group lexicon words =
 
 (* ---------- sentences ---------- *)
 
-let sentence_located lexicon text =
+let sentence_located text =
   let tokens =
     try Tokenizer.tokenize text
     with Failure msg -> fail "%s" msg
   in
-  let segments = segment_tokens lexicon tokens in
+  let segments = segment_tokens tokens in
   if segments = [] then fail "empty sentence";
-  let parse_segment seg = parse_clause_group lexicon seg.seg_words in
+  let parse_segment seg = parse_clause_group seg.seg_words in
   (* The main clause group is the concatenation of all segments without
      a subordinator; subordinated segments before the first such
      segment lead, the others trail. *)
@@ -410,19 +410,19 @@ let sentence_located lexicon text =
   | None -> fail "sentence %S has no main clause" text
   | Some main -> { Syntax.leading; main; trailing }
 
-let sentence lexicon text =
-  try sentence_located lexicon text
+let sentence text =
+  try sentence_located text
   with Located (message, _) -> raise (Error message)
 
-let sentence_result ?(line = 0) lexicon text =
-  match sentence_located lexicon text with
+let sentence_result ?(line = 0) text =
+  match sentence_located text with
   | tree -> Ok tree
   | exception Located (message, words) ->
     let diag_start, diag_end = span_of_words text words in
     Error { diag_message = message; diag_line = line; diag_start; diag_end }
 
-let sentence_opt lexicon text =
-  try Some (sentence lexicon text) with Error _ -> None
+let sentence_opt text =
+  try Some (sentence text) with Error _ -> None
 
-let specification lexicon text =
-  List.map (sentence lexicon) (Tokenizer.split_sentences text)
+let specification text =
+  List.map sentence (Tokenizer.split_sentences text)

@@ -25,12 +25,12 @@ type diagnostic = {
     points at the offending word(s) in the sentence text when the
     failure names any, and covers the whole sentence otherwise. *)
 
-val sentence : Lexicon.t -> string -> Syntax.sentence
+val sentence : string -> Syntax.sentence
 (** Parse one requirement sentence.  Raises {!Error} with a diagnostic
     when the text falls outside the grammar. *)
 
 val sentence_result :
-  ?line:int -> Lexicon.t -> string -> (Syntax.sentence, diagnostic) result
+  ?line:int -> string -> (Syntax.sentence, diagnostic) result
 (** Non-raising {!sentence}: a malformed requirement becomes an
     [Error diagnostic] carrying the source line (as passed by the
     caller, who knows the document layout) and the column span of the
@@ -41,7 +41,7 @@ val pp_diagnostic : Format.formatter -> diagnostic -> unit
 (** ["line L, columns A-B: message"] (columns are 1-based and
     inclusive; the line part is omitted when unknown). *)
 
-val sentence_opt : Lexicon.t -> string -> Syntax.sentence option
+val sentence_opt : string -> Syntax.sentence option
 
-val specification : Lexicon.t -> string -> Syntax.sentence list
+val specification : string -> Syntax.sentence list
 (** Parse a multi-sentence specification (split on periods). *)

@@ -43,8 +43,3 @@ let split_sentences text =
   String.split_on_char '.' text
   |> List.map String.trim
   |> List.filter (fun s -> s <> "")
-
-let pp_token ppf = function
-  | Word w -> Format.pp_print_string ppf w
-  | Comma -> Format.pp_print_string ppf ","
-  | Period -> Format.pp_print_string ppf "."

@@ -20,5 +20,3 @@ val tokenize : string -> token list
 val split_sentences : string -> string list
 (** Split a multi-sentence specification text on periods, dropping
     blank segments. *)
-
-val pp_token : Format.formatter -> token -> unit

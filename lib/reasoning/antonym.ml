@@ -7,10 +7,6 @@ type entry = {
   absorb : bool;
 }
 
-type t = { table : (string, entry) Hashtbl.t }
-
-let add dict entry = Hashtbl.replace dict.table entry.word entry
-
 let pair_abs positive negative = [
   { word = positive; pair = positive; polarity = Positive; absorb = true };
   { word = negative; pair = positive; polarity = Negative; absorb = true };
@@ -53,15 +49,17 @@ let defaults =
     { word = "lost"; pair = "available"; polarity = Negative; absorb = true };
   ]
 
-let default () =
-  let dict = { table = Hashtbl.create 64 } in
-  List.iter (add dict) defaults;
-  dict
+(* Built once and never mutated, so every domain reads it without a
+   lock. *)
+let table =
+  let table = Hashtbl.create 64 in
+  List.iter (fun entry -> Hashtbl.replace table entry.word entry) defaults;
+  table
 
-let lookup dict word = Hashtbl.find_opt dict.table word
+let lookup word = Hashtbl.find_opt table word
 
-let antonyms dict word =
-  match lookup dict word with
+let antonyms word =
+  match lookup word with
   | None -> []
   | Some entry ->
     Hashtbl.fold
@@ -71,14 +69,10 @@ let antonyms dict word =
          && other <> word
          then other :: acc
          else acc)
-      dict.table []
+      table []
     |> List.sort compare
 
-let is_negative dict word =
-  match lookup dict word with
+let is_negative word =
+  match lookup word with
   | Some { polarity = Negative; _ } -> true
   | Some { polarity = Positive; _ } | None -> false
-
-let entries dict =
-  Hashtbl.fold (fun _ e acc -> e :: acc) dict.table []
-  |> List.sort compare

@@ -19,17 +19,14 @@ type entry = {
   absorb : bool;
 }
 
-type t
+(** There is one dictionary, built in for the case studies (the
+    paper's "online lookup" is out of scope in a sealed environment;
+    Algorithm 1's lookup step resolves against this table).  Nothing
+    mutates it after construction, so every domain reads it without a
+    lock. *)
 
-val default : unit -> t
-(** Dictionary preloaded for the case studies (the paper's "online
-    lookup" is out of scope in a sealed environment; Algorithm 1's
-    lookup step resolves against this table). *)
-
-val add : t -> entry -> unit
-val lookup : t -> string -> entry option
-val antonyms : t -> string -> string list
+val lookup : string -> entry option
+val antonyms : string -> string list
 (** All known words with the same pair but opposite polarity. *)
 
-val is_negative : t -> string -> bool
-val entries : t -> entry list
+val is_negative : string -> bool

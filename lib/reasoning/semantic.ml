@@ -18,7 +18,7 @@ type subject_analysis = {
    more than one dependent, looks every word up in the dictionary and
    marks words blue when the intersection of their antonym set with
    the sibling dependents is non-empty. *)
-let analyze dict relations =
+let analyze relations =
   let analyze_relation { Dependency.subject; dependents } =
     if List.length dependents <= 1 then
       {
@@ -32,7 +32,7 @@ let analyze dict relations =
       let colored =
         List.map
           (fun word ->
-             let known_antonyms = Antonym.antonyms dict word in
+             let known_antonyms = Antonym.antonyms word in
              let found =
                List.filter
                  (fun other -> List.mem other known_antonyms)
@@ -52,7 +52,7 @@ type literal = {
   positive : bool;
 }
 
-let literal_for dict analyses ~subject ~word =
+let literal_for analyses ~subject ~word =
   let analysis =
     match List.find_opt (fun a -> a.subject = subject) analyses with
     | Some a -> a
@@ -61,7 +61,7 @@ let literal_for dict analyses ~subject ~word =
   let coloring =
     List.find_opt (fun c -> c.word = word) analysis.words
   in
-  let entry = Antonym.lookup dict word in
+  let entry = Antonym.lookup word in
   match entry with
   | None ->
     (* Unknown word: keep it verbatim (green path). *)
@@ -88,8 +88,8 @@ let literal_for dict analyses ~subject ~word =
          the proposition, e.g. operational_cara). *)
       { prop = word ^ "_" ^ subject; positive = true }
 
-let reduction_count dict relations =
-  let analyses = analyze dict relations in
+let reduction_count relations =
+  let analyses = analyze relations in
   let all_pairs =
     List.concat_map
       (fun { Dependency.subject; dependents } ->
@@ -101,7 +101,7 @@ let reduction_count dict relations =
     List.sort_uniq compare
       (List.map
          (fun (subject, word) ->
-            let literal = literal_for dict analyses ~subject ~word in
+            let literal = literal_for analyses ~subject ~word in
             literal.prop)
          all_pairs)
   in

@@ -24,7 +24,7 @@ type subject_analysis = {
 }
 
 val analyze :
-  Antonym.t -> Speccc_nlp.Dependency.relation list -> subject_analysis list
+  Speccc_nlp.Dependency.relation list -> subject_analysis list
 (** Algorithm 1: for every subject with more than one dependent,
     consult the dictionary and color the dependents; single-dependent
     subjects keep their word green (the paper skips them: "we cannot
@@ -37,7 +37,7 @@ type literal = {
 }
 
 val literal_for :
-  Antonym.t -> subject_analysis list -> subject:string -> word:string ->
+  subject_analysis list -> subject:string -> word:string ->
   literal
 (** Proposition for an adjective/adverb [word] attached to [subject]:
     absorbing words abbreviate to the bare subject and contribute only
@@ -45,7 +45,7 @@ val literal_for :
     member; green non-absorbing words keep the [word_subject] form. *)
 
 val reduction_count :
-  Antonym.t -> Speccc_nlp.Dependency.relation list -> int * int
+  Speccc_nlp.Dependency.relation list -> int * int
 (** [(props_without_reasoning, props_with_reasoning)] over all
     subject/word pairs — the quantity the Sec. IV-D example discusses
     (two propositions for available/unavailable collapse into one). *)

@@ -31,12 +31,3 @@ let write_all fd bytes =
     if n <= 0 then raise (Sys_error "short write");
     written := !written + n
   done
-
-let write_string_all fd s =
-  let len = String.length s in
-  let written = ref 0 in
-  while !written < len do
-    let n = write_substring fd s !written (len - !written) in
-    if n <= 0 then raise (Sys_error "short write");
-    written := !written + n
-  done

@@ -15,5 +15,3 @@ val accept : ?cloexec:bool -> Unix.file_descr -> Unix.file_descr * Unix.sockaddr
 val write_all : Unix.file_descr -> bytes -> unit
 (** Write the whole buffer, retrying on EINTR and short writes;
     raises [Sys_error] if the descriptor stops accepting bytes. *)
-
-val write_string_all : Unix.file_descr -> string -> unit

@@ -79,9 +79,6 @@ val in_scope : string -> (unit -> 'a) -> 'a
     socket write) wrap their syscalls in the scope of the checkpoint
     that covers them, which is what the strict-I/O lint checks. *)
 
-val current_scope : unit -> string option
-(** Innermost enclosing checkpoint scope on this domain, if any. *)
-
 val strict_io : bool -> unit
 (** Arm (or disarm) the strict-I/O lint and reset its findings.  While
     armed, {!io_event} calls with no enclosing {!in_scope} are

@@ -36,9 +36,6 @@ val on_soft : (unit -> unit) -> unit
 (** Register a shedding hook, run once per upward watermark crossing.
     Hook exceptions are swallowed. *)
 
-val observe : unit -> unit
-(** Take one observation now (also runs from the Gc alarm). *)
-
 type stats = {
   major_words : float;
   heap_words : int;

@@ -19,7 +19,6 @@ type t = {
   mutable level : int;
   mutable propagate_head : int;
   mutable var_inc : float;
-  mutable conflicts : int;
   mutable unsat : bool;                   (* empty clause seen *)
   seen : (int, unit) Hashtbl.t;           (* scratch for analyze *)
 }
@@ -43,7 +42,6 @@ let create () = {
   level = 0;
   propagate_head = 0;
   var_inc = 1.0;
-  conflicts = 0;
   unsat = false;
   seen = Hashtbl.create 64;
 }
@@ -74,7 +72,6 @@ let new_var solver =
 
 let num_vars solver = solver.nvars
 let num_clauses solver = solver.nclauses
-let num_conflicts solver = solver.conflicts
 
 (* 1 if lit true, -1 if false, 0 unknown. *)
 let lit_value solver lit =
@@ -368,7 +365,6 @@ let solve ?budget ?(assumptions = []) solver =
         match propagate solver with
         | Some conflict ->
           tick ();
-          solver.conflicts <- solver.conflicts + 1;
           incr conflicts_since_restart;
           if solver.level = 0 then begin
             solver.unsat <- true;

@@ -23,9 +23,6 @@ val create : unit -> t
 val new_var : t -> int
 (** Allocate the next fresh variable. *)
 
-val ensure_vars : t -> int -> unit
-(** Make sure variables [1..n] exist. *)
-
 val add_clause : t -> int list -> unit
 (** Add a clause.  The empty clause makes the instance trivially
     unsatisfiable.  Raises [Invalid_argument] on literal [0]. *)
@@ -41,9 +38,6 @@ val solve :
 val num_vars : t -> int
 val num_clauses : t -> int
 (** Problem clauses (not counting learned ones). *)
-
-val num_conflicts : t -> int
-(** Total conflicts over the solver's lifetime (diagnostics). *)
 
 val solve_clauses :
   ?budget:Speccc_runtime.Budget.t ->

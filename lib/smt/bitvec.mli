@@ -24,8 +24,6 @@ val width_for : int -> int -> int
 (** [width_for lo hi] is the least two's-complement width holding every
     integer in [[lo, hi]]. *)
 
-val sign_extend : t -> width:int -> t
-
 val add : Tseitin.t -> t -> t -> t
 (** Sum, one bit wider than the wider operand (never overflows). *)
 

@@ -27,9 +27,6 @@ let le ctx a b = Bitvec.le ctx.tseitin a.bits b.bits
 let lt ctx a b = Bitvec.lt ctx.tseitin a.bits b.bits
 let ge ctx a b = le ctx b a
 let gt ctx a b = lt ctx b a
-let atom_not lit = -lit
-let atom_or ctx lits = Tseitin.mk_or ctx.tseitin lits
-let atom_and ctx lits = Tseitin.mk_and ctx.tseitin lits
 let assert_atom ctx lit = Tseitin.assert_lit ctx.tseitin lit
 
 let var ctx ~lo ~hi =

@@ -34,9 +34,6 @@ val le : ctx -> term -> term -> atom
 val lt : ctx -> term -> term -> atom
 val ge : ctx -> term -> term -> atom
 val gt : ctx -> term -> term -> atom
-val atom_not : atom -> atom
-val atom_or : ctx -> atom list -> atom
-val atom_and : ctx -> atom list -> atom
 
 val assert_atom : ctx -> atom -> unit
 

@@ -56,18 +56,16 @@ let key ?(salt = "") doc =
      templates;
    - [recover] decides whether ungrammatical sentences abort the run
      or are dropped, i.e. which formula set is conjoined.
+   The translator's lexicon and dictionary are built in, so with the
+   document these fields determine the checked formulas completely.
    Engine knobs stay out on purpose: [engine], [lookahead], [bound],
    [fuel], [deadline], [cancel], [skip_engines], [certify] and
    [snapshot] change how hard the engines try, never which formulas
    are checked — a definite verdict is a fact about the formulas, and
-   sharing it across engine configurations is the store's point.
-   ([translate.lexicon] and [translate.dictionary] also shape the
-   formulas, but carry no canonical serialization; every production
-   caller uses the defaults, and a caller with a custom lexicon must
-   key its store by construction.)  The constant "smt=1" and "fe=1"
-   entries name the SMT time abstraction and the future-as-eventually
-   template, which every check uses; they stay in the salt so that
-   existing stores keep their keys. *)
+   sharing it across engine configurations is the store's point.  The
+   constant "smt=1" and "fe=1" entries name the SMT time abstraction
+   and the future-as-eventually template, which every check uses; they
+   stay in the salt so that existing stores keep their keys. *)
 let salt_of_options (o : Pipeline.options) =
   let flag b = if b then "1" else "0" in
   String.concat ","

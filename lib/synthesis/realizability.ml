@@ -234,7 +234,7 @@ let refute_on_components ~budget ~bound ~inputs ~outputs requirements =
   try List.find_map attempt (output_components ~outputs requirements)
   with Runtime.Interrupt (Runtime.Fuel_exhausted _) -> None
 
-let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
+let run_symbolic ~budget ~witness ~lookahead ~inputs ~outputs spec =
   let had_liveness = Classify.has_liveness spec in
   let max_bound = 4 * lookahead in
   let solve_at ~completed bound =
@@ -252,15 +252,11 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
              | Some k -> [ ("lookahead", string_of_int k) ]
              | None -> []))
     in
-    Obligation.solve ?budget ~snapshot_base ~inputs ~outputs safety_spec
+    Obligation.solve ~budget ~snapshot_base ~inputs ~outputs safety_spec
   in
   let publish_completed bound =
-    match budget with
-    | None -> ()
-    | Some b ->
-      Budget.publish b
-        (Snapshot.make ~engine:"symbolic"
-           [ ("lookahead", string_of_int bound) ])
+    Budget.publish budget
+      (Snapshot.make ~engine:"symbolic" [ ("lookahead", string_of_int bound) ])
   in
   (* Bounding eventualities is a strengthening, so a loss at one
      look-ahead may be won at a larger one — escalate a few times, as
@@ -278,16 +274,13 @@ let run_symbolic ?budget ~witness ~lookahead ~inputs ~outputs spec =
   (* Anytime resume: skip lookaheads a previous attempt already
      refuted; the doubling tail matches a cold run's. *)
   let start, start_completed =
-    match budget with
+    match Budget.resume_for budget ~engine:"symbolic" with
+    | Some snap ->
+      (match Snapshot.int_field snap "lookahead" with
+       | Some k when k >= lookahead && had_liveness ->
+         (max lookahead (min (2 * k) max_bound), Some k)
+       | Some _ | None -> (lookahead, None))
     | None -> (lookahead, None)
-    | Some b ->
-      (match Budget.resume_for b ~engine:"symbolic" with
-       | Some snap ->
-         (match Snapshot.int_field snap "lookahead" with
-          | Some k when k >= lookahead && had_liveness ->
-            (max lookahead (min (2 * k) max_bound), Some k)
-          | Some _ | None -> (lookahead, None))
-       | None -> (lookahead, None))
   in
   match attempt ~completed:start_completed start with
   | Ok (strategy, bound) ->

@@ -2,17 +2,9 @@ open Speccc_logic
 open Speccc_nlp
 open Speccc_reasoning
 
-type config = {
-  lexicon : Lexicon.t;
-  dictionary : Antonym.t;
-  next_as_x : bool;
-}
+type config = { next_as_x : bool }
 
-let default_config () = {
-  lexicon = Lexicon.default ();
-  dictionary = Antonym.default ();
-  next_as_x = false;
-}
+let default_config () = { next_as_x = false }
 
 type requirement = {
   text : string;
@@ -32,22 +24,22 @@ type result = {
    contribute a sign ("a valid blood pressure is unavailable" ↦
    ¬blood_pressure): a word is stripped when the dictionary marks it as
    absorbing and it is not the only word of the substantive. *)
-let split_substantive config words =
+let split_substantive words =
   match words with
   | [] | [ _ ] -> (words, [])
   | _ ->
     let attributes, core =
       List.partition
         (fun w ->
-           match Antonym.lookup config.dictionary w with
+           match Antonym.lookup w with
            | Some { Antonym.absorb = true; _ } -> true
            | Some _ | None -> false)
         words
     in
     if core = [] then (words, []) else (core, attributes)
 
-let subject_key config ?resolve_it words =
-  let core, attributes = split_substantive config words in
+let subject_key ?resolve_it words =
+  let core, attributes = split_substantive words in
   let key = Dependency.subject_key core in
   let key =
     match key, resolve_it with
@@ -60,11 +52,11 @@ let subject_key config ?resolve_it words =
 
 (* Dependents of a subject: copular complements plus attributive status
    adjectives. *)
-let clause_relations config clause =
+let clause_relations clause =
   let complement = clause.Syntax.predicate.Syntax.complement in
   List.concat_map
     (fun substantive ->
-       let key, attributes = subject_key config substantive in
+       let key, attributes = subject_key substantive in
        let dependents =
          attributes @ (match complement with Some c -> [ c ] | None -> [])
        in
@@ -79,10 +71,10 @@ let sentence_clauses s =
   @ List.concat_map (fun sub -> group_clauses sub.Syntax.body)
       s.Syntax.trailing
 
-let relations_of_sentences config sentences =
+let relations_of_sentences sentences =
   let pairs =
     List.concat_map
-      (fun s -> List.concat_map (clause_relations config) (sentence_clauses s))
+      (fun s -> List.concat_map clause_relations (sentence_clauses s))
       sentences
   in
   let order = ref [] in
@@ -109,20 +101,20 @@ let apply_sign positive prop =
 
 (* Proposition(s) for one clause; one literal per substantive, joined
    by the subject conjunction. *)
-let clause_atoms config analyses ~resolve_it clause =
+let clause_atoms analyses ~resolve_it clause =
   let predicate = clause.Syntax.predicate in
   let literal_of_substantive substantive =
-    let key, attributes = subject_key config ?resolve_it substantive in
+    let key, attributes = subject_key ?resolve_it substantive in
     let attribute_sign =
       List.for_all
-        (fun w -> not (Antonym.is_negative config.dictionary w))
+        (fun w -> not (Antonym.is_negative w))
         attributes
     in
     let base =
       match predicate.Syntax.complement with
       | Some word ->
         let literal =
-          Semantic.literal_for config.dictionary analyses ~subject:key ~word
+          Semantic.literal_for analyses ~subject:key ~word
         in
         apply_sign literal.Semantic.positive literal.Semantic.prop
       | None ->
@@ -144,7 +136,7 @@ let is_future_modality = function
   | Some _ | None -> false
 
 let clause_formula config analyses ~resolve_it clause =
-  let base = clause_atoms config analyses ~resolve_it clause in
+  let base = clause_atoms analyses ~resolve_it clause in
   match clause.Syntax.time_bound with
   | Some t -> Ltl.next_n t base
   | None ->
@@ -189,7 +181,7 @@ let sentence_formula config analyses sentence =
   let referent =
     match sentence.Syntax.main.Syntax.clauses with
     | { Syntax.subject = { Syntax.nouns = first :: _; _ }; _ } :: _ ->
-      let key, _ = subject_key config first in
+      let key, _ = subject_key first in
       Some key
     | _ -> None
   in
@@ -238,8 +230,8 @@ let sentence_formula config analyses sentence =
   Ltl.always conditioned
 
 let of_parsed config texts sentences =
-  let relations = relations_of_sentences config sentences in
-  let analyses = Semantic.analyze config.dictionary relations in
+  let relations = relations_of_sentences sentences in
+  let analyses = Semantic.analyze relations in
   let requirements =
     List.map2
       (fun text tree ->
@@ -250,49 +242,52 @@ let of_parsed config texts sentences =
 
 (* ---------- per-sentence parse cache ----------
 
-   Parsing is the per-sentence part of the front-end; the semantic
-   analysis (antonym discovery, Algorithm 1) is document-global and is
-   always re-run, so a cached parse tree can never change a
-   translation — [of_parsed] over the same trees is deterministic.
-   The cache is keyed by sentence text alone and therefore owned by
-   the caller (one cache per lexicon/session), not shared globally:
-   two lexicons could parse the same text differently. *)
+   Parsing is the per-sentence part of the front end and reads only the
+   built-in lexicon, so a parse tree is a function of the sentence text
+   alone: every caller parses through one domain-local LRU keyed by
+   text.  The semantic analysis (antonym discovery, Algorithm 1) is
+   document-global and always re-runs over the trees, so a cached tree
+   can never change a translation. *)
 
 module Parse_lru = Speccc_cache.Cache.Make (Speccc_cache.Cache.String_key)
 
 type parse_cache = Syntax.sentence Parse_lru.t
 
+let parse_capacity =
+  Speccc_cache.Cache.capacity ~name:"nlp.parse" ~default:2048
+
+let parses = Parse_lru.create_dls ~name:"nlp.parse" ~capacity:parse_capacity ()
+
 let parse_cache () =
-  Parse_lru.create ~name:"nlp.parse"
-    ~capacity:(Speccc_cache.Cache.capacity ~name:"nlp.parse" ~default:2048)
-    ()
+  Parse_lru.create ~name:"nlp.parse" ~capacity:parse_capacity ()
 
-let specification ?parse_cache:cache config texts =
-  let parse text =
-    match cache with
-    | None -> Parser.sentence config.lexicon text
-    | Some cache ->
-      Parse_lru.memo cache text (fun () -> Parser.sentence config.lexicon text)
-  in
-  of_parsed config texts (List.map parse texts)
-
-(* Only sentences that parsed are cached: a diagnostic carries the
+(* Only sentences that parse are cached: a diagnostic carries the
    source line it was reported at. *)
-let specification_recover ?parse_cache:cache config items =
-  let parse line text =
-    match Option.bind cache (fun cache -> Parse_lru.find_opt cache text) with
-    | Some tree -> Ok tree
-    | None ->
-      let result = Parser.sentence_result ~line config.lexicon text in
-      (match (cache, result) with
-       | Some cache, Ok tree -> Parse_lru.add cache text tree
-       | _ -> ());
-      result
+let parse cache ~line text =
+  match Parse_lru.find_opt cache text with
+  | Some tree -> Ok tree
+  | None ->
+    let result = Parser.sentence_result ~line text in
+    Result.iter (Parse_lru.add cache text) result;
+    result
+
+let specification ?parse_cache config texts =
+  let cache =
+    match parse_cache with Some c -> c | None -> Domain.DLS.get parses
   in
+  let tree text =
+    match parse cache ~line:0 text with
+    | Ok tree -> tree
+    | Error diag -> raise (Parser.Error diag.Parser.diag_message)
+  in
+  of_parsed config texts (List.map tree texts)
+
+let specification_recover config items =
+  let cache = Domain.DLS.get parses in
   let parsed, diagnostics =
     List.fold_left
       (fun (parsed, diags) (index, line, text) ->
-         match parse line text with
+         match parse cache ~line text with
          | Ok tree -> ((index, text, tree) :: parsed, diags)
          | Error diag -> (parsed, (index, diag) :: diags))
       ([], [])

@@ -17,11 +17,14 @@
       ([next_as_x] switches to an [X] wrapper);
     - propositions are [verb_subject] for verbal predicates and the
       {!Speccc_reasoning.Semantic.literal_for} reduction for
-      adjective/adverb complements. *)
+      adjective/adverb complements.
+
+    The parser and the translator read the one built-in
+    {!Speccc_nlp.Lexicon} and the one built-in
+    {!Speccc_reasoning.Antonym} dictionary; neither can change, so a
+    sentence's parse tree depends on its text alone. *)
 
 type config = {
-  lexicon : Speccc_nlp.Lexicon.t;
-  dictionary : Speccc_reasoning.Antonym.t;
   next_as_x : bool;              (** default [false] (appendix style) *)
 }
 
@@ -41,25 +44,32 @@ type result = {
 }
 
 type parse_cache
-(** Bounded per-sentence parse memo (LRU, cache name ["nlp.parse"]),
-    keyed by sentence text.  Parsing is the only per-sentence stage of
-    the front-end — semantic reasoning is document-global and always
-    re-runs — so reusing a tree can never change a translation.  Keys
-    do not include the lexicon: keep one cache per lexicon (the watch
-    session owns one), never share across configs. *)
+(** A bounded per-sentence parse memo (LRU, cache name ["nlp.parse"])
+    keyed by sentence text. *)
 
 val parse_cache : unit -> parse_cache
+(** A fresh private parse cache.  Kept only because the frozen
+    benchmark driver ([perfbench/driver]) names it; every other caller
+    parses through the domain's own cache. *)
 
 val specification : ?parse_cache:parse_cache -> config -> string list -> result
 (** Translate a list of requirement sentences.  Semantic reasoning is
     performed over the whole specification first (antonym pairs are
     discovered across requirements), then each sentence is translated.
     Raises {!Speccc_nlp.Parser.Error} on ungrammatical input.
-    [parse_cache] reuses parse trees for sentences already seen by the
-    cache — translations are identical with or without it. *)
+
+    Sentences are parsed through one domain-local LRU (cache name
+    ["nlp.parse"]), keyed by sentence text and filled with successful
+    parses only.  Parsing is the only per-sentence stage of the front
+    end (semantic reasoning is document-global and always re-runs), so
+    a reused tree never changes a translation; under
+    {!Speccc_cache.Cache.set_enabled}[ false] every sentence is parsed
+    afresh.  [parse_cache] replaces the domain's cache with a private
+    one; it is kept only because the frozen benchmark driver
+    ([perfbench/driver]) names it, and translations are identical
+    with or without it. *)
 
 val specification_recover :
-  ?parse_cache:parse_cache ->
   config ->
   (int * string) list ->
   result * int list * (int * Speccc_nlp.Parser.diagnostic) list
@@ -69,8 +79,9 @@ val specification_recover :
     sentences, the original 0-based indices they came from (so callers
     can map reports back to requirement identifiers), and one located
     diagnostic per rejected sentence.  Never raises on grammar
-    errors.  [parse_cache] is read and filled as in {!specification},
-    with successful parses only (a diagnostic carries its line). *)
+    errors.  Parses through the same domain-local cache as
+    {!specification} (a diagnostic carries its line, so only
+    successful parses are cached). *)
 
 val formula_of_sentence : config -> string -> Speccc_logic.Ltl.t
 (** Convenience wrapper for a single sentence. *)

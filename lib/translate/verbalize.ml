@@ -1,15 +1,6 @@
 open Speccc_logic
 open Speccc_nlp
 
-type config = {
-  lexicon : Lexicon.t;
-  translate : Translate.config;
-}
-
-let default_config () =
-  let translate = Translate.default_config () in
-  { lexicon = translate.Translate.lexicon; translate }
-
 (* ---------- proposition rendering ---------- *)
 
 (* Passive participles the suffix rules get wrong. *)
@@ -33,7 +24,7 @@ let participle lemma =
     then String.sub lemma 0 (n - 1) ^ "ied"
     else lemma ^ "ed"
 
-let proposition config ~positive ap =
+let proposition ~positive ap =
   let tokens = String.split_on_char '_' ap in
   let subject rest = String.concat " " rest in
   match tokens with
@@ -41,12 +32,12 @@ let proposition config ~positive ap =
   | [ single ] ->
     Printf.sprintf "the %s is %s" single
       (if positive then "available" else "lost")
-  | first :: rest when Lexicon.has_class config.lexicon first Lexicon.Adjective
+  | first :: rest when Lexicon.has_class first Lexicon.Adjective
     ->
     Printf.sprintf "the %s is %s%s" (subject rest)
       (if positive then "" else "not ")
       first
-  | first :: rest when Lexicon.has_class config.lexicon first Lexicon.Verb ->
+  | first :: rest when Lexicon.has_class first Lexicon.Verb ->
     Printf.sprintf "the %s is %s%s" (subject rest)
       (if positive then "" else "not ")
       (participle first)
@@ -58,16 +49,16 @@ let proposition config ~positive ap =
 
 (* Boolean bodies render as clause groups: left-associated and/or over
    literal phrases; anything else is out of fragment. *)
-let rec boolean config formula =
+let rec boolean formula =
   match formula with
-  | Ltl.Prop p -> Some (proposition config ~positive:true p)
-  | Ltl.Not (Ltl.Prop p) -> Some (proposition config ~positive:false p)
+  | Ltl.Prop p -> Some (proposition ~positive:true p)
+  | Ltl.Not (Ltl.Prop p) -> Some (proposition ~positive:false p)
   | Ltl.And (g, h) ->
-    (match boolean config g, boolean config h with
+    (match boolean g, boolean h with
      | Some a, Some b -> Some (a ^ " and " ^ b)
      | _ -> None)
   | Ltl.Or (g, h) ->
-    (match boolean config g, boolean config h with
+    (match boolean g, boolean h with
      | Some a, Some b -> Some (a ^ " or " ^ b)
      | _ -> None)
   | Ltl.True | Ltl.False | Ltl.Not _ | Ltl.Implies _ | Ltl.Iff _
@@ -82,12 +73,12 @@ let rec strip_next formula =
     (depth + 1, core)
   | _ -> (0, formula)
 
-let sentence config formula =
+let sentence formula =
   (* "eventually" and "in t seconds" are clause modifiers in the
      forward direction: they scope over ONE clause, so only literal
      bodies are faithful under them. *)
   let literal_only = function
-    | (Ltl.Prop _ | Ltl.Not (Ltl.Prop _)) as l -> boolean config l
+    | (Ltl.Prop _ | Ltl.Not (Ltl.Prop _)) as l -> boolean l
     | _ -> None
   in
   let response body =
@@ -99,7 +90,7 @@ let sentence config formula =
       (match literal_only core with
        | Some text -> Some (`Deadline (depth, text))
        | None -> None)
-    | _ -> Option.map (fun text -> `Plain text) (boolean config body)
+    | _ -> Option.map (fun text -> `Plain text) (boolean body)
   in
   let render_main = function
     | `Plain text -> text
@@ -108,7 +99,7 @@ let sentence config formula =
   in
   match formula with
   | Ltl.Always (Ltl.Implies (guard, body)) ->
-    (match boolean config guard, response body with
+    (match boolean guard, response body with
      | Some guard_text, Some (`Eventually _ as r) ->
        Some (Printf.sprintf "When %s, %s." guard_text (render_main r))
      | Some guard_text, Some r ->
@@ -128,7 +119,7 @@ let sentence config formula =
 
 let roundtrip_checked config formula =
   let module Runtime = Speccc_runtime.Runtime in
-  match sentence config formula with
+  match sentence formula with
   | None ->
     Error
       (Runtime.invalid_input ~stage:"verbalize"
@@ -140,7 +131,7 @@ let roundtrip_checked config formula =
        (not just [Parser.Error]) to a typed value. *)
     (match
        Runtime.guard ~stage:"verbalize" (fun () ->
-           Translate.specification config.translate [ text ])
+           Translate.specification config [ text ])
      with
      | Ok { Translate.requirements = [ { Translate.formula = back; _ } ]; _ }
        ->

@@ -12,7 +12,8 @@
        □ r / □ ¬r                  <response>.  (invariants)
        ♦ r                         Eventually <response>. v}
 
-    Propositions are un-mangled with the lexicon's morphology:
+    Propositions are un-mangled with the built-in lexicon's
+    morphology:
     [press_start_button ↦ "the start button is pressed"],
     [pump ↦ "the pump is available"] (bare subjects read as status
     propositions), [¬pump ↦ "the pump is lost"].
@@ -21,21 +22,14 @@
     re-translating the produced sentence yields the original formula
     (tested property). *)
 
-type config = {
-  lexicon : Speccc_nlp.Lexicon.t;
-  translate : Translate.config;
-}
-
-val default_config : unit -> config
-
-val sentence : config -> Speccc_logic.Ltl.t -> string option
+val sentence : Speccc_logic.Ltl.t -> string option
 (** [None] when the formula is outside the supported fragment. *)
 
-val proposition : config -> positive:bool -> string -> string
+val proposition : positive:bool -> string -> string
 (** English phrase for one (possibly negated) proposition. *)
 
 val roundtrip_checked :
-  config ->
+  Translate.config ->
   Speccc_logic.Ltl.t ->
   (Speccc_logic.Ltl.t, Speccc_runtime.Runtime.error) result
 (** Verbalize the formula and run the produced sentence back through
@@ -45,7 +39,7 @@ val roundtrip_checked :
     one requirement; tokenizer/parser escapes surface as typed errors
     instead of exceptions.  Never raises. *)
 
-val roundtrips : config -> Speccc_logic.Ltl.t -> bool
+val roundtrips : Translate.config -> Speccc_logic.Ltl.t -> bool
 (** Does [sentence] produce text that the forward pipeline translates
     back to the same formula?  ([false] also when [sentence] returns
     [None] or re-translation fails.) *)

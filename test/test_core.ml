@@ -437,10 +437,17 @@ let test_arbiter () =
 
 let test_pipeline_deterministic () =
   (* Two runs over the same input must agree on everything observable:
-     formulas, partition, verdict (guards against hash-order leaks). *)
+     formulas, partition, verdict (guards against hash-order leaks).
+     The second run has every cache disabled, so it parses, translates
+     and solves afresh instead of reading what the first run cached. *)
   let texts = Speccc_casestudies.Cara.working_mode_texts in
   let run () = Pipeline.run ~options:symbolic_options texts in
-  let a = run () and b = run () in
+  let a = run () in
+  let b =
+    Fun.protect
+      ~finally:(fun () -> Speccc_cache.Cache.set_enabled true)
+      (fun () -> Speccc_cache.Cache.set_enabled false; run ())
+  in
   Alcotest.(check bool) "formulas equal" true
     (List.for_all2 Ltl.equal a.Pipeline.formulas b.Pipeline.formulas);
   Alcotest.(check (list string)) "inputs equal"

@@ -3,9 +3,14 @@
    and warm from another document), the batch harness at one and at
    four jobs, and a warm replay from the verdict store, over the
    Table I documents, the example specifications and generated
-   documents from a fixed seed. *)
+   documents from a fixed seed.  The parse-cache cases check that
+   every pipeline run, governed or not, parses through the one
+   [nlp.parse] cache, and that the cache never changes a
+   translation. *)
 
 open Speccc_core
+module Cache = Speccc_cache.Cache
+module Translate = Speccc_translate.Translate
 module Harness = Speccc_harness.Harness
 module Store = Speccc_store.Store
 module Jsonl = Speccc_json.Jsonl
@@ -125,6 +130,85 @@ let test_store_replay () =
              (Store.cacheable f) (not w.Harness.fresh))
         fresh warm)
 
+let parse_hits () =
+  List.fold_left
+    (fun acc s -> if s.Cache.name = "nlp.parse" then s.Cache.hits else acc)
+    0 (Cache.stats ())
+
+(* Every serve request is a governed run (fuel set).  A near-duplicate
+   of a document checked before must reuse that document's parses. *)
+let test_governed_run_reuses_parses () =
+  let options =
+    { (Pipeline.default_options ()) with Pipeline.fuel = Some 1_000_000 }
+  in
+  let document =
+    Document.of_file (Filename.concat spec_dir "pump_control.spec")
+  in
+  let near_duplicate =
+    List.mapi
+      (fun i item ->
+         if i = 0 then
+           { item with
+             Document.text =
+               "If the start button is pressed, the pump is started." }
+         else item)
+      document
+  in
+  ignore (Pipeline.run_document ~options document);
+  let before = parse_hits () in
+  ignore (Pipeline.run_document ~options near_duplicate);
+  Alcotest.(check bool) "every shared sentence hits" true
+    (parse_hits () - before >= List.length document - 1)
+
+let translate document =
+  Translate.specification_recover (Translate.default_config ())
+    (List.map (fun item -> (item.Document.line, item.Document.text)) document)
+
+let render (result, kept, diagnostics) =
+  List.map
+    (fun r ->
+       r.Translate.text ^ " => "
+       ^ Speccc_logic.Ltl_print.to_string r.Translate.formula)
+    result.Translate.requirements
+  @ [ "kept " ^ String.concat "," (List.map string_of_int kept) ]
+  @ List.map
+      (fun (index, diag) ->
+         Format.asprintf "%d: %a" index Speccc_nlp.Parser.pp_diagnostic diag)
+      diagnostics
+
+(* The second cached pass is answered from the cache; the uncached
+   pass parses every sentence afresh and must count no hit. *)
+let test_uncached_translation_equals_cached () =
+  List.iter (fun (_, document) -> ignore (translate document)) documents;
+  let before = parse_hits () in
+  let cached = List.map (fun (_, document) -> translate document) documents in
+  Alcotest.(check bool) "the cached pass hits" true (parse_hits () > before);
+  let before = parse_hits () in
+  let uncached =
+    Fun.protect
+      ~finally:(fun () -> Cache.set_enabled true)
+      (fun () ->
+         Cache.set_enabled false;
+         List.map (fun (_, document) -> translate document) documents)
+  in
+  Alcotest.(check int) "no hit while disabled" before (parse_hits ());
+  List.iter2
+    (fun ((key, document), cached) uncached ->
+       Alcotest.(check (list string)) (key ^ ": uncached = cached")
+         (render cached) (render uncached);
+       Alcotest.(check bool) (key ^ ": same trees and analyses") true
+         (cached = uncached);
+       let _, _, diagnostics = cached in
+       if diagnostics = [] then begin
+         let texts = Document.texts document in
+         let (result, _, _) = cached in
+         Alcotest.(check bool) (key ^ ": private cache = domain cache") true
+           (Translate.specification ~parse_cache:(Translate.parse_cache ())
+              (Translate.default_config ()) texts
+            = result)
+       end)
+    (List.combine documents cached) uncached
+
 let () =
   Alcotest.run "entry"
     [
@@ -135,4 +219,9 @@ let () =
             test_journal_jobs_1_equals_4;
           Alcotest.test_case "store: warm replay = fresh run" `Slow
             test_store_replay ] );
+      ( "parse cache",
+        [ Alcotest.test_case "governed run reuses parses" `Quick
+            test_governed_run_reuses_parses;
+          Alcotest.test_case "uncached translation = cached" `Quick
+            test_uncached_translation_equals_cached ] );
     ]

@@ -4,7 +4,6 @@
 
 open Speccc_nlp
 
-let lexicon = Lexicon.default ()
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -32,7 +31,7 @@ let test_tokenizer_preserves_compounds () =
 (* --- morphology --- *)
 
 let check_lemma word expected_lemma =
-  match Morphology.analyze_verb lexicon word with
+  match Morphology.analyze_verb word with
   | Some (lemma, _) ->
     Alcotest.(check string) (word ^ " lemma") expected_lemma lemma
   | None -> Alcotest.fail (word ^ " should be recognized as a verb form")
@@ -58,15 +57,15 @@ let test_morphology_irregular () =
 
 let test_morphology_non_verbs () =
   Alcotest.(check bool) "mode is not a verb" true
-    (Morphology.analyze_verb lexicon "mode" = None);
+    (Morphology.analyze_verb "mode" = None);
   Alcotest.(check bool) "available is not a verb" true
-    (Morphology.analyze_verb lexicon "available" = None)
+    (Morphology.analyze_verb "available" = None)
 
 (* --- parser: Figure 2 (Req-17) --- *)
 
 let test_figure2_tree () =
   let s =
-    Parser.sentence lexicon
+    Parser.sentence
       "When auto-control mode is entered, eventually the cuff will be \
        inflated."
   in
@@ -101,7 +100,7 @@ let test_figure2_tree () =
 
 let test_compound_subjects () =
   let s =
-    Parser.sentence lexicon
+    Parser.sentence
       "If pulse wave and arterial line are unavailable, and cuff is \
        selected, and blood pressure is not valid, next manual mode is \
        started."
@@ -129,7 +128,7 @@ let test_compound_subjects () =
 
 let test_or_subjects () =
   let s =
-    Parser.sentence lexicon
+    Parser.sentence
       "When auto control mode is running, and the arterial line, or pulse \
        wave or cuff is lost, an alarm should sound in 60 seconds."
   in
@@ -155,7 +154,7 @@ let test_or_subjects () =
 
 let test_trailing_until () =
   let s =
-    Parser.sentence lexicon
+    Parser.sentence
       "When a start auto control button is enabled, the start auto control \
        button is enabled until it is pressed."
   in
@@ -173,7 +172,7 @@ let test_trailing_until () =
 
 let test_trailing_condition_without_comma () =
   let s =
-    Parser.sentence lexicon
+    Parser.sentence
       "The CARA will be operational whenever the LSTAT is powered on."
   in
   Alcotest.(check int) "no leading" 0 (List.length s.Syntax.leading);
@@ -188,7 +187,7 @@ let test_trailing_condition_without_comma () =
 
 let test_shared_subject_across_conjunction () =
   let s =
-    Parser.sentence lexicon
+    Parser.sentence
       "If the power supply is lost, the control goes to a backup battery \
        and triggers an alarm."
   in
@@ -202,7 +201,7 @@ let test_shared_subject_across_conjunction () =
 
 let test_negation_and_modality () =
   let s =
-    Parser.sentence lexicon "The cuff is not available."
+    Parser.sentence "The cuff is not available."
   in
   (match s.Syntax.main.Syntax.clauses with
    | [ clause ] ->
@@ -211,7 +210,7 @@ let test_negation_and_modality () =
      Alcotest.(check (option string)) "complement" (Some "available")
        clause.Syntax.predicate.Syntax.complement
    | _ -> Alcotest.fail "one clause expected");
-  let s2 = Parser.sentence lexicon "The pump cannot be started." in
+  let s2 = Parser.sentence "The pump cannot be started." in
   (match s2.Syntax.main.Syntax.clauses with
    | [ clause ] ->
      Alcotest.(check bool) "cannot negates" true
@@ -221,10 +220,10 @@ let test_negation_and_modality () =
    | _ -> Alcotest.fail "one clause expected")
 
 let test_parse_errors () =
-  (match Parser.sentence_opt lexicon "" with
+  (match Parser.sentence_opt "" with
    | None -> ()
    | Some _ -> Alcotest.fail "empty sentence must fail");
-  (match Parser.sentence_opt lexicon "the the the" with
+  (match Parser.sentence_opt "the the the" with
    | None -> ()
    | Some _ -> Alcotest.fail "no predicate must fail")
 
@@ -293,7 +292,7 @@ let test_full_corpus_parses () =
   in
   List.iteri
     (fun i text ->
-       match Parser.sentence_opt lexicon text with
+       match Parser.sentence_opt text with
        | Some _ -> ()
        | None ->
          Alcotest.fail (Printf.sprintf "corpus sentence %d failed: %s" i text))
@@ -303,7 +302,7 @@ let test_full_corpus_parses () =
 
 let test_dependencies () =
   let sentences =
-    List.map (Parser.sentence lexicon)
+    List.map Parser.sentence
       [
         "If pulse wave or arterial line is available, and cuff is \
          selected, corroboration is triggered.";
@@ -326,7 +325,7 @@ let test_dependencies () =
 
 let test_syntax_pp () =
   let s =
-    Parser.sentence lexicon
+    Parser.sentence
       "When auto-control mode is entered, eventually the cuff will be \
        inflated."
   in

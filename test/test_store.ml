@@ -372,8 +372,7 @@ let test_salt_of_options () =
   changes "next-as-X template"
     { options with
       Pipeline.translate =
-        { options.Pipeline.translate with
-          Speccc_translate.Translate.next_as_x =
+        { Speccc_translate.Translate.next_as_x =
             not
               options.Pipeline.translate
                 .Speccc_translate.Translate.next_as_x } };

@@ -239,14 +239,13 @@ let test_reduction_count () =
   in
   let result = Translate.specification config texts in
   let without, with_reasoning =
-    Semantic.reduction_count config.Translate.dictionary
-      result.Translate.relations
+    Semantic.reduction_count result.Translate.relations
   in
   Alcotest.(check bool) "reasoning reduces propositions" true
     (with_reasoning < without)
 
 let test_next_as_x_option () =
-  let config_x = { config with Translate.next_as_x = true } in
+  let config_x = { Translate.next_as_x = true } in
   let formula =
     Translate.formula_of_sentence config_x
       "If cuff is selected, next manual mode is started."

@@ -5,29 +5,29 @@
 open Speccc_logic
 open Speccc_translate
 
-let config = Verbalize.default_config ()
+let config = Translate.default_config ()
 let parse = Ltl_parse.formula
 
 let check_sentence formula expected =
-  match Verbalize.sentence config (parse formula) with
+  match Verbalize.sentence (parse formula) with
   | Some text -> Alcotest.(check string) formula expected text
   | None -> Alcotest.fail (formula ^ " should verbalize")
 
 let test_propositions () =
   Alcotest.(check string) "verb prop" "the start button is pressed"
-    (Verbalize.proposition config ~positive:true "press_start_button");
+    (Verbalize.proposition ~positive:true "press_start_button");
   Alcotest.(check string) "negated verb prop"
     "the start button is not pressed"
-    (Verbalize.proposition config ~positive:false "press_start_button");
+    (Verbalize.proposition ~positive:false "press_start_button");
   Alcotest.(check string) "bare status prop" "the pump is available"
-    (Verbalize.proposition config ~positive:true "pump");
+    (Verbalize.proposition ~positive:true "pump");
   Alcotest.(check string) "negated status prop" "the pump is lost"
-    (Verbalize.proposition config ~positive:false "pump");
+    (Verbalize.proposition ~positive:false "pump");
   Alcotest.(check string) "adjective prop" "the cara is operational"
-    (Verbalize.proposition config ~positive:true "operational_cara");
+    (Verbalize.proposition ~positive:true "operational_cara");
   Alcotest.(check string) "irregular participle"
     "the auto control mode is running"
-    (Verbalize.proposition config ~positive:true "run_auto_control_mode")
+    (Verbalize.proposition ~positive:true "run_auto_control_mode")
 
 let test_sentences () =
   check_sentence "G (pump -> trigger_alarm)"
@@ -44,7 +44,7 @@ let test_sentences () =
 let test_out_of_fragment () =
   List.iter
     (fun text ->
-       match Verbalize.sentence config (parse text) with
+       match Verbalize.sentence (parse text) with
        | None -> ()
        | Some s -> Alcotest.fail (text ^ " should not verbalize, got " ^ s))
     [ "a U b"; "F a"; "G (a -> (b -> c))"; "G (a <-> b)"; "G (F a -> b)" ]
@@ -110,7 +110,7 @@ let prop_roundtrip =
     (fun formula ->
        (* duplicate literals can collapse under the smart constructors;
           only insist on round-tripping when verbalization succeeds *)
-       match Verbalize.sentence config formula with
+       match Verbalize.sentence formula with
        | None -> true
        | Some _ -> Verbalize.roundtrips config formula)
 
